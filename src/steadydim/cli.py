@@ -7,8 +7,9 @@ Subcommands:
   matrices PATH     print the gamma/b/n_mat/w_mat quadruple
   check-point PATH  residual and degeneracy of an explicit (kappa, x)
 
-Exit codes: 0 success (whatever the verdict), 1 parse/usage error, 2
-internal error.  ``--seed`` falls back to the STEADYDIM_SEED environment
+Exit codes: 0 success (whatever the verdict), 1 parse/usage error (or,
+in directory mode, any file that could not be analyzed), 2 internal
+error.  ``--seed`` falls back to the STEADYDIM_SEED environment
 variable, then 0; with a fixed seed the JSON output is byte-identical
 across runs.  Rationals are serialized as strings "p/q" to avoid any
 precision loss.
@@ -40,7 +41,7 @@ from .nondegen import (
 )
 from .ratmat import RatMatrix
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(ValueError):
@@ -315,6 +316,8 @@ def _analyze_batch(directory: Path, args, seed: int) -> int:
 
     Per-file RNG streams are derived from (seed, file name), so records
     do not depend on processing order or on the directory's location.
+    A file that fails for any reason becomes a ``{"path", "error"}``
+    record; the rest are still analyzed and the exit code is 1.
     """
     failed = False
     for path in sorted(directory.glob("*.crn")):
@@ -325,6 +328,9 @@ def _analyze_batch(directory: Path, args, seed: int) -> int:
             record.update(report_to_dict(report))
         except (ParseError, OSError) as exc:
             record["error"] = str(exc)
+            failed = True
+        except Exception as exc:  # noqa: BLE001 - one file must not stop the batch
+            record["error"] = f"internal error: {exc!r}"
             failed = True
         print(json.dumps(record))
     return 1 if failed else 0

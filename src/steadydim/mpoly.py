@@ -7,7 +7,9 @@ h's) so output is reproducible.
 
 Also provides exact symbolic determinants (cofactor expansion for small
 matrices, fraction-free Bareiss elimination for larger ones) and a
-short-circuiting scan over all k x k minors.
+short-circuiting test that every k x k minor vanishes: over the minors
+that border a known nonsingular (k-1)-submatrix (Kronecker's rank
+theorem), or over all of them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -372,17 +374,46 @@ class MinorWitness(NamedTuple):
     poly: MPoly
 
 
+def bordering_minors(
+    nrows: int, ncols: int, basis: tuple[Sequence[int], Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Index sets of the minors that border the submatrix ``basis``.
+
+    ``basis = (rows, cols)`` selects a square submatrix; each bordering
+    minor adds one row outside ``rows`` and one column outside ``cols``.
+    Yields ``(rows', cols')`` as sorted tuples, added row ascending, then
+    added column ascending: (nrows - k)(ncols - k) sets for a k x k basis.
+    """
+    rows, cols = basis
+    free_rows = [i for i in range(nrows) if i not in rows]
+    free_cols = [j for j in range(ncols) if j not in cols]
+    for i in free_rows:
+        rset = tuple(sorted((*rows, i)))
+        for j in free_cols:
+            yield rset, tuple(sorted((*cols, j)))
+
+
 def all_minors_zero(
     matrix: Sequence[Sequence[MPoly]],
     k: int,
     bareiss_threshold: int = 6,
+    basis: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> tuple[bool, Optional[MinorWitness]]:
     """Check whether every k x k minor is the zero polynomial.
 
     Returns ``(True, None)`` when all minors vanish identically, which
     proves the symbolic rank is < k.  Otherwise returns ``(False,
-    witness)`` for the first nonzero minor found.  Rows and columns are
-    scanned sorted by ascending nonzero count (ties by index), subsets in
+    witness)`` for the first nonzero minor found.
+
+    ``basis = (rows, cols)`` names a (k-1) x (k-1) submatrix whose
+    determinant is a nonzero polynomial (the caller's guarantee).  Then
+    only the minors bordering it are computed: by Kronecker's theorem they
+    all vanish exactly when every k x k minor does, so the answer is the
+    same, and a witness borders ``basis``.  They are taken in
+    ``bordering_minors`` order.
+
+    Without ``basis`` every minor is scanned.  Rows and columns are then
+    sorted by ascending nonzero count (ties by index), subsets in
     lexicographic order over that arrangement, so the witness is
     deterministic and structured matrices exit early.
     """
@@ -393,20 +424,32 @@ def all_minors_zero(
     if k == 0:
         return False, MinorWitness((), (), MPoly.const(1))
 
-    def nnz_row(i):
-        return sum(1 for p in matrix[i] if not p.is_zero())
+    if basis is not None:
+        rows, cols = basis
+        for idx, bound in ((rows, nrows), (cols, ncols)):
+            if len(idx) != k - 1 or len(set(idx)) != k - 1 or not all(0 <= x < bound for x in idx):
+                raise ValueError(f"basis {basis} is not a {k - 1}x{k - 1} submatrix")
+        subsets: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = bordering_minors(
+            nrows, ncols, basis
+        )
+    else:
 
-    def nnz_col(j):
-        return sum(1 for i in range(nrows) if not matrix[i][j].is_zero())
+        def nnz_row(i):
+            return sum(1 for p in matrix[i] if not p.is_zero())
 
-    row_order = sorted(range(nrows), key=lambda i: (nnz_row(i), i))
-    col_order = sorted(range(ncols), key=lambda j: (nnz_col(j), j))
-    for rsel in combinations(row_order, k):
-        rset = tuple(sorted(rsel))
-        for csel in combinations(col_order, k):
-            cset = tuple(sorted(csel))
-            sub = [[matrix[i][j] for j in cset] for i in rset]
-            d = det(sub, bareiss_threshold)
-            if not d.is_zero():
-                return False, MinorWitness(rset, cset, d)
+        def nnz_col(j):
+            return sum(1 for i in range(nrows) if not matrix[i][j].is_zero())
+
+        row_order = sorted(range(nrows), key=lambda i: (nnz_row(i), i))
+        col_order = sorted(range(ncols), key=lambda j: (nnz_col(j), j))
+        subsets = (
+            (tuple(sorted(rsel)), tuple(sorted(csel)))
+            for rsel in combinations(row_order, k)
+            for csel in combinations(col_order, k)
+        )
+    for rset, cset in subsets:
+        sub = [[matrix[i][j] for j in cset] for i in rset]
+        d = det(sub, bareiss_threshold)
+        if not d.is_zero():
+            return False, MinorWitness(rset, cset, d)
     return True, None

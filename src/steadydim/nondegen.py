@@ -9,10 +9,14 @@ parametrization w = G u of ker(N):
     compatibility classes),
 
 where the entries are polynomials in u (and h).  Each target rank is
-tested by exact evaluation at random integer points; if every sample
-fails, a scan of all target-size minors either proves the rank deficient
-everywhere (a symbolic certificate) or exhibits a nonzero minor whose
-polynomial is then used to drive the sampling until a witness appears.
+tested by exact evaluation at random integer points.  If every sample
+falls short, the best one has rank rho and a nonsingular rho x rho
+submatrix; its bordering (rho+1)-minors either all vanish, which proves
+the rank is rho everywhere (Kronecker's theorem, a symbolic certificate),
+or one of them is a nonzero polynomial that drives the sampling to a
+point of higher rank, until the target is reached.  When the first
+matrix is rank deficient everywhere, so is the second, and its test is
+skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
@@ -28,11 +32,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
-from .mpoly import MPoly, VarId, all_minors_zero
+from .mpoly import MinorWitness, MPoly, VarId, all_minors_zero, bordering_minors
 from .netmodel import NetworkMatrices, ReactionNetwork
 from .ratmat import RatMatrix
 
@@ -52,7 +55,7 @@ class SamplerConfig:
     """Knobs of the randomized rank test.
 
     seed: base RNG seed; every derived stream is a pure function of it.
-    retries: samples drawn before falling back to the symbolic minor scan.
+    retries: samples drawn before falling back to the bordering-minor loop.
     sample_bound: H; components are drawn from [-H, H] (u, zero excluded)
         or [1, H] (h).
     pit_budget: samples per round when hunting a nonzero value of a known
@@ -226,13 +229,40 @@ def _eval_matrix(matrix: Sequence[Sequence[MPoly]], ncols: int, point) -> RatMat
     )
 
 
-def _certificate(nrows: int, ncols: int, k: int) -> tuple[str, ...]:
+def _nonsingular_submatrix(evaluated: RatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rows, cols) of a square submatrix of full rank rank(evaluated).
+
+    cols are the pivot columns of the matrix, rows the pivot rows of
+    those columns.
+    """
+    _, cols, _ = evaluated.rref()
+    picked = RatMatrix.from_rows([evaluated.column(j) for j in cols], cols=evaluated.rows)
+    _, rows, _ = picked.rref()
+    return rows, cols
+
+
+def _indices(idx: Sequence[int]) -> str:
+    return "(" + ",".join(str(i) for i in idx) + ")"
+
+
+def _bordering_certificate(
+    shape: tuple[int, int],
+    basis: tuple[tuple[int, ...], tuple[int, ...]],
+    target: int,
+    u_vals: tuple[Fraction, ...],
+    h_vals: Optional[tuple[Fraction, ...]],
+) -> tuple[str, ...]:
+    """Certificate lines: header, the sample, then every bordering minor."""
+    rows, cols = basis
     lines = [
-        f"all {k}x{k} minors of the {nrows}x{ncols} symbolic matrix are the zero polynomial"
+        f"rank {len(rows)} < {target}: minor rows={_indices(rows)} cols={_indices(cols)} "
+        "is nonzero at the sample below; every bordering minor is 0",
+        "sample u:" + "".join(f" {x}" for x in u_vals),
     ]
-    for rset in combinations(range(nrows), k):
-        for cset in combinations(range(ncols), k):
-            lines.append(f"minor rows={rset} cols={cset}: 0")
+    if h_vals is not None:
+        lines.append("sample h:" + "".join(f" {x}" for x in h_vals))
+    for rset, cset in bordering_minors(*shape, basis):
+        lines.append(f"minor rows={_indices(rset)} cols={_indices(cset)}: 0")
     return tuple(lines)
 
 
@@ -248,12 +278,20 @@ def generic_rank_test(
 ) -> GenericRankVerdict:
     """Decide whether the symbolic matrix attains ``target`` rank somewhere.
 
-    Up to ``cfg.retries`` random evaluations first; on full failure, the
-    scan of all target-size minors either certifies rank deficiency
-    everywhere (AllDegenerate) or yields a nonzero minor polynomial that
-    is sampled until it evaluates nonzero (doubling the sample bound when
-    a round of ``cfg.pit_budget`` samples is exhausted).  Witnesses are
-    re-verified by an exact rank computation before being reported.
+    Up to ``cfg.retries`` random evaluations first.  If all fall short,
+    the highest-rank sample (rank rho, the first of equals) gives a
+    nonsingular rho x rho submatrix (R, C), and only the minors bordering
+    it are computed symbolically:
+
+      * all zero: the rank is rho over Q(u, h), so AllDegenerate, with a
+        certificate naming (R, C), the sample and every bordering minor;
+      * one nonzero: it is sampled until it evaluates nonzero (doubling
+        the sample bound whenever a round of ``cfg.pit_budget`` samples
+        is exhausted).  If it is target-sized that point is the witness;
+        otherwise the rank there exceeds rho and the loop repeats from it.
+
+    Witnesses are re-verified by an exact rank computation before being
+    reported.
     """
     cfg = cfg or SamplerConfig()
     rng = rng or random.Random(cfg.seed)
@@ -279,40 +317,58 @@ def generic_rank_test(
         )
 
     bound = cfg.sample_bound
-    samples = 0
+    samples = hunted = 0
+
+    def hunt(witness: MinorWitness):
+        """Sample until the minor is nonzero: a point of rank >= its size."""
+        nonlocal bound, samples, hunted
+        while True:
+            for _ in range(cfg.pit_budget):
+                if cfg.hard_cap is not None and hunted >= cfg.hard_cap:
+                    raise BudgetExhausted(
+                        f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
+                        f"within {cfg.hard_cap} samples"
+                    )
+                point, u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+                samples += 1
+                hunted += 1
+                if witness.poly.eval(point):
+                    return point, u_vals, h_vals
+            bound *= 2
+
+    best = None  # (rank, point, u_vals, h_vals) of the highest-rank sample
     for _ in range(cfg.retries):
         point, u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
-        if _eval_matrix(matrix, ncols, point).rank() == target:
+        rank = _eval_matrix(matrix, ncols, point).rank()
+        if rank == target:
             return verdict_for(point, u_vals, h_vals, samples)
+        if best is None or rank > best[0]:
+            best = (rank, point, u_vals, h_vals)
 
-    vanish, witness = all_minors_zero(matrix, target, cfg.symbolic_threshold)
-    if vanish:
-        return GenericRankVerdict(
-            target_rank=target,
-            status=RankTestStatus.ALL_DEGENERATE,
-            witness_u=None,
-            witness_h=None,
-            witness_w=None,
-            certificate=_certificate(nrows, ncols, target),
-            samples_tried=samples,
-        )
-
-    # a nonzero minor exists; hunt a point where it does not vanish
-    hunted = 0
+    rank, point, u_vals, h_vals = best
     while True:
-        for _ in range(cfg.pit_budget):
-            if cfg.hard_cap is not None and hunted >= cfg.hard_cap:
-                raise BudgetExhausted(
-                    f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
-                    f"within {cfg.hard_cap} samples"
-                )
-            point, u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
-            samples += 1
-            hunted += 1
-            if witness.poly.eval(point):
-                return verdict_for(point, u_vals, h_vals, samples)
-        bound *= 2
+        basis = _nonsingular_submatrix(_eval_matrix(matrix, ncols, point))
+        vanish, witness = all_minors_zero(
+            matrix, rank + 1, cfg.symbolic_threshold, basis=basis
+        )
+        if vanish:
+            return GenericRankVerdict(
+                target_rank=target,
+                status=RankTestStatus.ALL_DEGENERATE,
+                witness_u=None,
+                witness_h=None,
+                witness_w=None,
+                certificate=_bordering_certificate(
+                    (nrows, ncols), basis, target, u_vals, h_vals
+                ),
+                samples_tried=samples,
+            )
+
+        point, u_vals, h_vals = hunt(witness)
+        rank = _eval_matrix(matrix, ncols, point).rank()
+        if rank == target:
+            return verdict_for(point, u_vals, h_vals, samples)
 
 
 # -- pointwise checks ------------------------------------------------------
@@ -396,6 +452,11 @@ def analyze_matrices(
     When the positive kernel cone is empty no rate vector admits positive
     steady states and both conclusions say so; the rank tests still run
     and are reported as information about the complex-torus systems.
+
+    When the f-test is AllDegenerate the F-test is not run: the top block
+    of the F matrix has the f matrix's rank and W adds at most d, so
+    rank F <= rank f + d < s + d = n.  Its verdict cites the f certificate
+    and reports 0 samples.
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
@@ -411,20 +472,28 @@ def analyze_matrices(
         g=g,
         rng=random.Random(derive_seed(cfg.seed, "f-test")),
     )
-    F_verdict = generic_rank_test(
-        symbolic_jacobian_F(mats, g, f_jacobian=jac_f),
-        mats.n,
-        cfg,
-        u_dim=u_dim,
-        h_dim=mats.n,
-        g=g,
-        rng=random.Random(derive_seed(cfg.seed, "F-test")),
-    )
-
-    if F_verdict.nondegenerate and not f_verdict.nondegenerate:
-        raise RuntimeError(
-            "inconsistent verdicts: full-system nondegeneracy implies "
-            "steady-state-system nondegeneracy"
+    if f_verdict.nondegenerate:
+        F_verdict = generic_rank_test(
+            symbolic_jacobian_F(mats, g, f_jacobian=jac_f),
+            mats.n,
+            cfg,
+            u_dim=u_dim,
+            h_dim=mats.n,
+            g=g,
+            rng=random.Random(derive_seed(cfg.seed, "F-test")),
+        )
+    else:
+        F_verdict = GenericRankVerdict(
+            target_rank=mats.n,
+            status=RankTestStatus.ALL_DEGENERATE,
+            witness_u=None,
+            witness_h=None,
+            witness_w=None,
+            certificate=(
+                f"rank <= rank(f_test) + {mats.d} < {mats.s} + {mats.d} = {mats.n}: "
+                "implied by the f_test certificate",
+            ),
+            samples_tried=0,
         )
 
     notes: list[str] = []

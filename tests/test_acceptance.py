@@ -35,6 +35,7 @@ from conftest import (
     CALCIUM_GAMMA,
     cofactor_det,
     fixture_path,
+    parse_certificate,
     random_network,
     random_rational_matrix,
 )
@@ -117,12 +118,18 @@ def test_criterion_2_rank_deficient_network(capsys):
     assert w == tuple(scale * Fraction(c) for c in (1, 1, 2, 1))
     report = analyze(net, SamplerConfig(seed=2024))
     assert report.f_verdict.status is RankTestStatus.ALL_DEGENERATE
-    cert = report.f_verdict.certificate
-    assert cert is not None
-    assert "all 3x3 minors" in cert[0]
-    # the certified statement is true: every 3x3 minor of the symbolic
-    # matrix is the zero polynomial (re-derived via determinants here)
+    assert report.f_verdict.certificate is not None
+    cert = parse_certificate(report.f_verdict.certificate, with_h=False)
+    # the certificate proves rank exactly 1 < 3: its 1x1 minor is nonzero
+    # at its sample and all (3-1)(3-1) = 4 minors bordering it are the zero
+    # polynomial (re-derived via determinants here)
+    assert (cert.rank, cert.target) == (1, 3)
+    assert len(cert.minors) == 4
     jac = symbolic_jacobian_f(mats, mats.n_mat.kernel_basis())
+    point = {VarId.u(t): v for t, v in enumerate(cert.u)}
+    assert jac[cert.rows[0]][cert.cols[0]].eval(point) != 0
+    for rows, cols in cert.minors:
+        assert det([[jac[i][j] for j in cols] for i in rows]).is_zero()
     assert det(jac).is_zero()
     assert report.conclusion_f is VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
     text = cli.render_report_text(report)
@@ -359,3 +366,36 @@ def test_criterion_6_synthetic_large_network(capsys):
     assert report.F_verdict.status is RankTestStatus.NONDEGENERATE_EXISTS
     with capsys.disabled():
         _report("6", "86-species synthetic chain", elapsed, 10.0)
+
+
+def _example42_family_text(k: int, d: int) -> str:
+    """``k`` renamed copies of example42 plus ``d`` reversible pairs A_j <-> B_j."""
+    lines = []
+    for b in range(1, k + 1):
+        lines += [
+            f"X{b} -> Y{b}",
+            f"X{b} -> Z{b}",
+            f"Y{b} + Z{b} -> X{b} + Y{b} + Z{b}",
+            f"Y{b} + Z{b} -> 0",
+        ]
+    lines += [f"A{j} <-> B{j}" for j in range(1, d + 1)]
+    return "\n".join(lines)
+
+
+def test_criterion_7_replicated_degenerate_network(capsys):
+    # every example42 block and every reversible pair adds 1 to the generic
+    # rank of the f matrix, so rho = k + d = 9 < s = 17; the certificate
+    # lists the (s - rho)(n - rho) minors bordering one nonsingular 9x9 block
+    net = parse_network(_example42_family_text(4, 5))
+    t0 = time.perf_counter()
+    report = analyze(net, SamplerConfig(seed=2024))
+    elapsed = time.perf_counter() - t0
+    n, _, s, _ = report.dims
+    assert (n, s) == (22, 17)
+    assert report.f_verdict.status is RankTestStatus.ALL_DEGENERATE
+    assert report.F_verdict.status is RankTestStatus.ALL_DEGENERATE
+    rho = 9
+    assert parse_certificate(report.f_verdict.certificate, with_h=False).rank == rho
+    assert len(report.f_verdict.certificate) <= 2 + (s - rho) * (n - rho)
+    with capsys.disabled():
+        _report("7", "22-species replicated example42 certificate", elapsed, 10.0)

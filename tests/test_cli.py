@@ -55,7 +55,7 @@ def test_analyze_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "analyze", CALCIUM, "--json", "--seed", "11")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     report = cli.report_from_dict(payload)
     direct = analyze(
         parse_network(fixture_path("calcium.crn").read_text()), SamplerConfig(seed=11)
@@ -174,6 +174,26 @@ def test_batch_mode(tmp_path, capsys):
     ]
     assert "error" in records[1]
     assert records[0]["conclusions"]["compatibility_classes"] == "generically_finite"
+
+
+def test_batch_mode_isolates_internal_errors(tmp_path, capsys, monkeypatch):
+    (tmp_path / "a_boom.crn").write_text(fixture_path("calcium.crn").read_text())
+    (tmp_path / "b_quadratic.crn").write_text(fixture_path("example46.crn").read_text())
+    real_analyze = cli.analyze
+
+    def analyze_or_fail(net, cfg):
+        if net.n == 4:  # calcium
+            raise RuntimeError("synthetic failure")
+        return real_analyze(net, cfg)
+
+    monkeypatch.setattr(cli, "analyze", analyze_or_fail)
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path), "--seed", "3")
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(records) == 2
+    assert set(records[0]) == {"path", "error"}
+    assert "synthetic failure" in records[0]["error"]
+    assert records[1]["conclusions"]["compatibility_classes"] == "generically_finite"
 
 
 def test_batch_mode_location_independent(tmp_path, capsys):

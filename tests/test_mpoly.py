@@ -189,6 +189,49 @@ def test_all_minors_zero_bad_k():
         all_minors_zero([[u(0)]], 2)
 
 
+def _linear_form(rng: random.Random) -> MPoly:
+    p = MPoly.const(rng.choice((0, 0, 1, -2)))
+    for v in (U1, U2, H1):
+        p = p + MPoly.var(v, rng.choice((0, 0, 1, -1, 3)))
+    return p
+
+
+def test_all_minors_zero_bordering_agrees_with_full_scan():
+    # products of (rows x inner) and (inner x cols) linear-form matrices have
+    # generic rank <= inner; the full scan is the reference
+    rng = random.Random(31)
+    decided = {True: 0, False: 0}
+    for _ in range(60):
+        nrows, ncols, inner = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+        a = [[_linear_form(rng) for _ in range(inner)] for _ in range(nrows)]
+        b = [[_linear_form(rng) for _ in range(ncols)] for _ in range(inner)]
+        m = [
+            [sum((a[i][t] * b[t][j] for t in range(inner)), MPoly.zero()) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        for k in range(1, min(nrows, ncols) + 1):
+            none_below, base = all_minors_zero(m, k - 1)
+            if none_below:
+                continue  # no nonsingular (k-1)-submatrix to border
+            full, _ = all_minors_zero(m, k)
+            ok, witness = all_minors_zero(m, k, basis=(base.rows, base.cols))
+            assert ok == full
+            decided[ok] += 1
+            if not ok:
+                assert set(base.rows) < set(witness.rows)
+                assert set(base.cols) < set(witness.cols)
+                sub = [[m[i][j] for j in witness.cols] for i in witness.rows]
+                assert witness.poly == det(sub) and not witness.poly.is_zero()
+    assert decided[True] > 0 and decided[False] > 0
+
+
+def test_all_minors_zero_rejects_bad_basis():
+    m = [[u(0), u(1)], [u(1), u(0)]]
+    for basis in (((0,), ()), ((0, 1), (0, 1)), ((2,), (0,)), ((0,), (-1,))):
+        with pytest.raises(ValueError):
+            all_minors_zero(m, 2, basis=basis)
+
+
 def test_str_rendering():
     p = u(0, 2) * h(2) - MPoly.const(Fraction(1, 2)) * u(1) * u(1)
     assert str(p) == "2*u1*h3 - 1/2*u2^2"

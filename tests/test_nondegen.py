@@ -26,7 +26,7 @@ from steadydim.nondegen import (
 )
 from steadydim.ratmat import RatMatrix
 
-from conftest import fixture_path, random_network
+from conftest import fixture_path, parse_certificate, random_network
 
 CALCIUM = parse_network(fixture_path("calcium.crn").read_text())
 EXAMPLE42 = parse_network(fixture_path("example42.crn").read_text())
@@ -169,9 +169,11 @@ def test_generic_rank_all_degenerate_with_certificate():
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.witness_u is None
     assert verdict.certificate is not None
-    assert "all 3x3 minors" in verdict.certificate[0]
-    # the matrix is 3x3 (3 species), so there is exactly one 3x3 minor
-    assert len(verdict.certificate) == 2
+    # the generic rank is 1: one nonsingular 1x1 minor, and the 3x3 matrix
+    # has (3-1)(3-1) = 4 minors of size 2 bordering it
+    cert = parse_certificate(verdict.certificate, with_h=False)
+    assert (cert.rank, cert.target) == (1, 3)
+    assert len(verdict.certificate) == 2 + 4
     assert verdict.samples_tried == 5
 
 
@@ -186,6 +188,38 @@ def test_generic_rank_minor_hunt_path():
     assert verdict.nondegenerate
     assert verdict.samples_tried == 2
     assert verdict.witness_u == (2, 3)
+
+
+def test_generic_rank_bordering_grows_then_hunts():
+    # every scripted sample lands below the generic rank 3: (2,1,1) has rank
+    # 1, so the bordering 2x2 minor (u1-1)(u2-1) is hunted, skipping (1,1,1)
+    # where it vanishes; (2,2,1) has rank 2, and the bordering 3x3 minor is
+    # hunted to (3,3,3)
+    z = MPoly.zero()
+    matrix = [[u(0) - 1, z, z], [z, u(1) - 1, z], [z, z, u(2) - 1]]
+    rng = ScriptedRng([2, 1, 1, 1, 1, 1, 2, 2, 1, 3, 3, 3])
+    verdict = generic_rank_test(
+        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=3, rng=rng
+    )
+    assert verdict.nondegenerate
+    assert verdict.witness_u == (3, 3, 3)
+    assert verdict.samples_tried == 4
+
+
+def test_generic_rank_bordering_grows_then_certifies():
+    # generic rank 2 < 3; the sample (2,1) has rank 1, so the loop grows the
+    # basis at the hunted point (2,2) and certifies from there
+    z = MPoly.zero()
+    matrix = [[u(0) - 1, z, z], [z, u(1) - 1, z], [z, z, z]]
+    rng = ScriptedRng([2, 1, 2, 2])
+    verdict = generic_rank_test(
+        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, rng=rng
+    )
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE
+    assert verdict.samples_tried == 2
+    cert = parse_certificate(verdict.certificate, with_h=False)
+    assert (cert.rank, cert.rows, cert.cols, cert.u) == (2, (0, 1), (0, 1), (2, 2))
+    assert cert.minors == [((0, 1, 2), (0, 1, 2))]
 
 
 def test_generic_rank_budget_exhausted():
@@ -318,6 +352,12 @@ def test_analyze_rank_one_network():
     assert g.column(0) == (1, 1, 2, 1)
     assert report.f_verdict.status is RankTestStatus.ALL_DEGENERATE
     assert report.f_verdict.certificate is not None
+    # the F verdict follows from the f certificate without being run
+    assert report.F_verdict.status is RankTestStatus.ALL_DEGENERATE
+    assert report.F_verdict.samples_tried == 0
+    assert report.F_verdict.certificate == (
+        "rank <= rank(f_test) + 0 < 3 + 0 = 3: implied by the f_test certificate",
+    )
     assert report.conclusion_f is VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
     assert report.conclusion_F is ClassesConclusion.GENERICALLY_EMPTY_OR_INFINITE
 
