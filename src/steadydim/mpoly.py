@@ -5,8 +5,8 @@ and scaling variables ``h1, h2, ...``.  Terms are kept in a dict keyed by
 exponent monomials; printing uses graded lexicographic order (u's before
 h's) so output is reproducible.
 
-Also provides exact symbolic determinants (cofactor expansion for small
-matrices, fraction-free Bareiss elimination for larger ones) and a
+Also provides the exact symbolic determinant (Laplace expansion along the
+sparsest remaining row, every sub-minor computed once per call) and a
 short-circuiting test that every k x k minor vanishes: over the minors
 that border a known nonsingular (k-1)-submatrix (Kronecker's rank
 theorem), or over all of them.
@@ -128,11 +128,6 @@ class MPoly:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self._terms.get(_EMPTY_MONO, Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
 
     def variables(self) -> tuple[VarId, ...]:
         seen = {v for mono in self._terms for v, _ in mono}
@@ -268,104 +263,49 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def divexact(num: MPoly, den: MPoly) -> MPoly:
-    """Exact polynomial division, used by Bareiss elimination.
-
-    Assumes den divides num; raises ValueError if the division is not
-    exact.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return MPoly.zero()
-    if den.is_constant():
-        inv = 1 / den.constant_value()
-        return MPoly({m: c * inv for m, c in num._terms.items()})
-    den_terms = den.terms()
-    lead_mono, lead_coeff = den_terms[0]
-    lead_exps = dict(lead_mono)
-    quotient: dict[Mono, Fraction] = {}
-    rem = num
-    while not rem.is_zero():
-        rmono, rcoeff = rem.terms()[0]
-        rexps = dict(rmono)
-        qexps = {}
-        for v, e in lead_exps.items():
-            re = rexps.get(v, 0)
-            if re < e:
-                raise ValueError("inexact polynomial division")
-            if re > e:
-                qexps[v] = re - e
-        for v, e in rexps.items():
-            if v not in lead_exps:
-                qexps[v] = e
-        qmono = tuple(sorted(qexps.items(), key=lambda t: t[0].sort_key))
-        qcoeff = rcoeff / lead_coeff
-        quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
-        rem = rem - MPoly({qmono: qcoeff}) * den
-    return MPoly(quotient)
-
-
-def _det_cofactor(rows: list[list[MPoly]]) -> MPoly:
-    k = len(rows)
-    if k == 0:
-        return MPoly.const(1)
-    if k == 1:
-        return rows[0][0]
-    # expand along the sparsest row to exploit structural zeros
-    nnz = [sum(1 for p in row if not p.is_zero()) for row in rows]
-    i = nnz.index(min(nnz))
-    if nnz[i] == 0:
-        return MPoly.zero()
-    rest = rows[:i] + rows[i + 1 :]
-    acc = MPoly.zero()
-    for j, entry in enumerate(rows[i]):
-        if entry.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rest]
-        term = entry * _det_cofactor(minor)
-        if (i + j) % 2:
-            term = -term
-        acc = acc + term
-    return acc
-
-
-def _det_bareiss(rows: list[list[MPoly]]) -> MPoly:
-    k = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = MPoly.const(1)
-    for step in range(k - 1):
-        pivot_row = next((i for i in range(step, k) if not m[i][step].is_zero()), None)
-        if pivot_row is None:
-            return MPoly.zero()
-        if pivot_row != step:
-            m[step], m[pivot_row] = m[pivot_row], m[step]
-            sign = -sign
-        piv = m[step][step]
-        for i in range(step + 1, k):
-            for j in range(step + 1, k):
-                num = piv * m[i][j] - m[i][step] * m[step][j]
-                m[i][j] = divexact(num, prev)
-            m[i][step] = MPoly.zero()
-        prev = piv
-    result = m[k - 1][k - 1]
-    return result if sign > 0 else -result
-
-
-def det(matrix: Sequence[Sequence[MPoly]], bareiss_threshold: int = 6) -> MPoly:
+def det(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     """Exact determinant of a square matrix of polynomials.
 
-    Cofactor expansion along sparsest rows up to ``bareiss_threshold``;
-    fraction-free Bareiss elimination above it.  The 0x0 determinant is 1.
+    Laplace expansion along the sparsest remaining row (the first of
+    equals), skipping zero entries, with every sub-minor cached by its
+    (rows, columns) for the duration of the call.  Structural zeros prune
+    the expansion, and the cache bounds a dense k x k determinant to
+    k * 2^(k-1) entry x minor products.  The 0x0 determinant is 1.
     """
     k = len(matrix)
-    rows = [list(r) for r in matrix]
-    if any(len(r) != k for r in rows):
+    if any(len(r) != k for r in matrix):
         raise ValueError("determinant of a non-square matrix")
-    if k <= bareiss_threshold:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+    if k == 0:
+        return MPoly.const(1)
+    return _minor(matrix, tuple(range(k)), tuple(range(k)), {})
+
+
+def _minor(
+    matrix: Sequence[Sequence[MPoly]],
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], MPoly],
+) -> MPoly:
+    """Determinant of the submatrix ``rows`` x ``cols`` (equal, nonzero length)."""
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    key = (rows, cols)
+    if key in cache:
+        return cache[key]
+    nnz = [sum(1 for j in cols if matrix[i][j]) for i in rows]
+    p = nnz.index(min(nnz))
+    rest = rows[:p] + rows[p + 1 :]
+    acc = MPoly.zero()
+    for q, j in enumerate(cols):
+        entry = matrix[rows[p]][j]
+        if not entry:
+            continue
+        sub = _minor(matrix, rest, cols[:q] + cols[q + 1 :], cache)
+        if sub:
+            term = entry * sub
+            acc = acc - term if (p + q) % 2 else acc + term
+    cache[key] = acc
+    return acc
 
 
 class MinorWitness(NamedTuple):
@@ -396,7 +336,6 @@ def bordering_minors(
 def all_minors_zero(
     matrix: Sequence[Sequence[MPoly]],
     k: int,
-    bareiss_threshold: int = 6,
     basis: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> tuple[bool, Optional[MinorWitness]]:
     """Check whether every k x k minor is the zero polynomial.
@@ -449,7 +388,7 @@ def all_minors_zero(
         )
     for rset, cset in subsets:
         sub = [[matrix[i][j] for j in cset] for i in rset]
-        d = det(sub, bareiss_threshold)
+        d = det(sub)
         if not d.is_zero():
             return False, MinorWitness(rset, cset, d)
     return True, None

@@ -8,7 +8,9 @@ where a complex is "0" (empty) or "+"-separated terms ``coef species`` /
 ``coef*species`` / ``species`` (coefficient defaults to 1), ARROW is
 ``->`` or ``<->``, and ``#`` starts a comment.  A reversible arrow needs
 two labels (forward first) and is split into two irreversible reactions,
-forward first.  Omitted labels are auto-generated as k1, k2, ...
+forward first.  An omitted label becomes ``k<i>`` for the reaction's
+position i (1-based, after splitting) or, when the text writes that label
+or an earlier reaction took it, the next free ``kN``.
 
 Species are ordered by first appearance in the text; reactions keep
 textual order.  From a parsed network, ``NetworkMatrices`` assembles the
@@ -201,16 +203,16 @@ def parse_network(text: str) -> ReactionNetwork:
             species_order.append(name)
         return species_index[name]
 
-    reactions: list[Reaction] = []
+    # (reactant, product, explicit label or None), one per irreversible reaction
+    pending: list[tuple[Complex, Complex, Optional[str]]] = []
     labels_seen: dict[str, int] = {}
 
-    def add_reaction(reactant, product, label, lineno, col):
+    def claim_label(label, lineno, col):
         if label in labels_seen:
             raise ParseError(
                 lineno, col, f"duplicate rate label {label!r} (first used on line {labels_seen[label]})"
             )
         labels_seen[label] = lineno
-        reactions.append(Reaction(reactant, product, label))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -253,20 +255,26 @@ def parse_network(text: str) -> ReactionNetwork:
         if reactant == product:
             raise ParseError(lineno, arrow[2], "reactant and product complexes are identical (self-loop)")
 
-        if explicit:
-            fwd_label, fwd_col = explicit[0]
-        else:
-            fwd_label, fwd_col = f"k{len(reactions) + 1}", arrow[2]
-        add_reaction(reactant, product, fwd_label, lineno, fwd_col)
+        for name, col in explicit:
+            claim_label(name, lineno, col)
+        labels = [name for name, _ in explicit] or [None, None]
+        pending.append((reactant, product, labels[0]))
         if reversible:
-            if explicit:
-                rev_label, rev_col = explicit[1]
-            else:
-                rev_label, rev_col = f"k{len(reactions) + 1}", arrow[2]
-            add_reaction(product, reactant, rev_label, lineno, rev_col)
+            pending.append((product, reactant, labels[1]))
 
-    if not reactions:
+    if not pending:
         raise ParseError(1, 1, "network has no reactions")
+    # auto labels skip every label written anywhere in the text
+    taken = set(labels_seen)
+    reactions: list[Reaction] = []
+    for reactant, product, label in pending:
+        if label is None:
+            num = len(reactions) + 1
+            while f"k{num}" in taken:
+                num += 1
+            label = f"k{num}"
+            taken.add(label)
+        reactions.append(Reaction(reactant, product, label))
     return ReactionNetwork(tuple(species_order), tuple(reactions))
 
 

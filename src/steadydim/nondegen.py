@@ -60,8 +60,6 @@ class SamplerConfig:
         or [1, H] (h).
     pit_budget: samples per round when hunting a nonzero value of a known
         nonzero minor; H doubles between rounds.
-    symbolic_threshold: matrix size above which determinants switch from
-        cofactor expansion to fraction-free elimination.
     hard_cap: optional absolute cap on minor-hunt samples (off by default;
         the hunt cannot stall for a nonzero polynomial with unbounded H).
     """
@@ -70,7 +68,6 @@ class SamplerConfig:
     retries: int = 5
     sample_bound: int = 65536
     pit_budget: int = 100
-    symbolic_threshold: int = 6
     hard_cap: Optional[int] = None
 
     def __post_init__(self):
@@ -290,8 +287,8 @@ def generic_rank_test(
         is exhausted).  If it is target-sized that point is the witness;
         otherwise the rank there exceeds rho and the loop repeats from it.
 
-    Witnesses are re-verified by an exact rank computation before being
-    reported.
+    A witness is a point at which the exact rank of the evaluated matrix
+    equals ``target``.
     """
     cfg = cfg or SamplerConfig()
     rng = rng or random.Random(cfg.seed)
@@ -300,11 +297,7 @@ def generic_rank_test(
     if target < 0 or target > min(nrows, ncols):
         raise ValueError(f"target rank {target} out of range for {nrows}x{ncols}")
 
-    def verdict_for(point, u_vals, h_vals, samples) -> GenericRankVerdict:
-        # exact re-verification: the witness never leaves unchecked
-        achieved = _eval_matrix(matrix, ncols, point).rank()
-        if achieved != target:
-            raise RuntimeError("witness failed exact rank re-verification")
+    def verdict_for(u_vals, h_vals, samples) -> GenericRankVerdict:
         w_vals = tuple(g.mul_vec(u_vals)) if g is not None else None
         return GenericRankVerdict(
             target_rank=target,
@@ -336,22 +329,21 @@ def generic_rank_test(
                     return point, u_vals, h_vals
             bound *= 2
 
-    best = None  # (rank, point, u_vals, h_vals) of the highest-rank sample
+    best = None  # (rank, evaluated matrix, u_vals, h_vals) of the highest-rank sample
     for _ in range(cfg.retries):
         point, u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
-        rank = _eval_matrix(matrix, ncols, point).rank()
+        evaluated = _eval_matrix(matrix, ncols, point)
+        rank = evaluated.rank()
         if rank == target:
-            return verdict_for(point, u_vals, h_vals, samples)
+            return verdict_for(u_vals, h_vals, samples)
         if best is None or rank > best[0]:
-            best = (rank, point, u_vals, h_vals)
+            best = (rank, evaluated, u_vals, h_vals)
 
-    rank, point, u_vals, h_vals = best
+    rank, evaluated, u_vals, h_vals = best
     while True:
-        basis = _nonsingular_submatrix(_eval_matrix(matrix, ncols, point))
-        vanish, witness = all_minors_zero(
-            matrix, rank + 1, cfg.symbolic_threshold, basis=basis
-        )
+        basis = _nonsingular_submatrix(evaluated)
+        vanish, witness = all_minors_zero(matrix, rank + 1, basis=basis)
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,
@@ -366,9 +358,10 @@ def generic_rank_test(
             )
 
         point, u_vals, h_vals = hunt(witness)
-        rank = _eval_matrix(matrix, ncols, point).rank()
+        evaluated = _eval_matrix(matrix, ncols, point)
+        rank = evaluated.rank()
         if rank == target:
-            return verdict_for(point, u_vals, h_vals, samples)
+            return verdict_for(u_vals, h_vals, samples)
 
 
 # -- pointwise checks ------------------------------------------------------

@@ -98,19 +98,8 @@ class RatMatrix:
         return cls(nrows, ncols, data)
 
     @classmethod
-    def identity(cls, k: int) -> "RatMatrix":
-        data = [_ONE if i == j else _ZERO for i in range(k) for j in range(k)]
-        return cls(k, k, data)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, [_ZERO] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, vec: Sequence[Scalar]) -> "RatMatrix":
-        k = len(vec)
-        data = [_frac(vec[i]) if i == j else _ZERO for i in range(k) for j in range(k)]
-        return cls(k, k, data)
 
     # -- access ------------------------------------------------------
 
@@ -183,27 +172,10 @@ class RatMatrix:
         data = [x * v[i % self.cols] for i, x in enumerate(self._data)]
         return RatMatrix(self.rows, self.cols, data)
 
-    def scale_rows(self, vec: Sequence[Scalar]) -> "RatMatrix":
-        """diag(vec) @ self, without forming the diagonal matrix."""
-        if len(vec) != self.rows:
-            raise ValueError(f"vector of length {len(vec)} against {self.rows}x{self.cols}")
-        v = [_frac(x) for x in vec]
-        data = [x * v[i // self.cols] for i, x in enumerate(self._data)]
-        return RatMatrix(self.rows, self.cols, data)
-
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValueError("column counts differ")
         return RatMatrix(self.rows + other.rows, self.cols, self._data + other._data)
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        data = []
-        for i in range(self.rows):
-            data.extend(self.row(i))
-            data.extend(other.row(i))
-        return RatMatrix(self.rows, self.cols + other.cols, data)
 
     # -- elimination -------------------------------------------------
 

@@ -36,7 +36,7 @@ def assert_valid_witness(m: RatMatrix, result: ConeResult):
     assert m.mul_vec(w) == (Fraction(0),) * m.rows
     # witness lies in the kernel's column space
     g = m.kernel_basis()
-    augmented = g.hstack(RatMatrix.from_columns([list(w)]))
+    augmented = RatMatrix.from_rows([list(g.row(i)) + [w[i]] for i in range(g.rows)])
     assert augmented.rank() == g.rank()
 
 

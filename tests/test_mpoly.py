@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from steadydim.mpoly import (
     MinorWitness,
@@ -10,7 +12,6 @@ from steadydim.mpoly import (
     VarId,
     all_minors_zero,
     det,
-    divexact,
 )
 
 from conftest import cofactor_det
@@ -106,29 +107,6 @@ def test_det_empty_matrix_is_one():
     assert det([]) == MPoly.const(1)
 
 
-def test_det_bareiss_agrees_with_cofactor():
-    rng = random.Random(99)
-    for _ in range(10):
-        k = rng.randint(2, 5)
-        m = [[random_poly(rng) for _ in range(k)] for _ in range(k)]
-        assert det(m, bareiss_threshold=6) == det(m, bareiss_threshold=0)
-
-
-def test_divexact_roundtrip():
-    rng = random.Random(5)
-    for _ in range(25):
-        p = random_poly(rng)
-        q = random_poly(rng)
-        if q.is_zero():
-            continue
-        assert divexact(p * q, q) == p
-
-
-def test_divexact_rejects_inexact():
-    with pytest.raises(ValueError):
-        divexact(u(0), u(1))
-
-
 def test_ring_axioms_randomized():
     rng = random.Random(11)
     for _ in range(30):
@@ -194,6 +172,56 @@ def _linear_form(rng: random.Random) -> MPoly:
     for v in (U1, U2, H1):
         p = p + MPoly.var(v, rng.choice((0, 0, 1, -1, 3)))
     return p
+
+
+def _dense_linear_form(rng: random.Random) -> MPoly:
+    # the u1 coefficient is 2 more than one of 0, 1, -1, 3: never zero
+    return _linear_form(rng) + MPoly.var(U1, 2)
+
+
+def _to_sympy(p: MPoly):
+    syms = {v: sympy.Symbol(str(v)) for v in p.variables()}
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(syms[v] ** e for v, e in mono))
+            for mono, c in p.terms()
+        )
+    )
+
+
+def test_det_agrees_with_sympy():
+    rng = random.Random(99)
+    cases = [[[random_poly(rng) for _ in range(k)] for _ in range(k)] for k in (2, 3, 4)]
+    for k in range(2, 8):
+        cases.append([[_dense_linear_form(rng) for _ in range(k)] for _ in range(k)])
+        cases.append(
+            [[_linear_form(rng) if rng.random() < 0.5 else MPoly.zero() for _ in range(k)] for _ in range(k)]
+        )
+    ring = sympy.QQ[sympy.symbols("u1 u2 h1")]
+    for m in cases:
+        k = len(m)
+        entries = [[ring.from_sympy(_to_sympy(p)) for p in row] for row in m]
+        assert ring.from_sympy(_to_sympy(det(m))) == DomainMatrix(entries, (k, k), ring).det()
+
+
+def test_det_dense_singular_8x8_stays_within_the_cache_bound(monkeypatch):
+    # dense linear forms; the last row is the sum of the first two
+    rng = random.Random(8)
+    m = [[_dense_linear_form(rng) for _ in range(8)] for _ in range(7)]
+    m.append([a + b for a, b in zip(m[0], m[1])])
+    products = 0
+    mul = MPoly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting_mul)
+    assert det(m).is_zero()
+    # one product per (entry, cached minor); plain cofactor expansion needs about 8!
+    assert 0 < products <= 8 * 2**7
 
 
 def test_all_minors_zero_bordering_agrees_with_full_scan():

@@ -88,6 +88,15 @@ def test_parse_auto_labels():
     assert [rx.label for rx in net.reactions] == ["k1", "k2", "k3"]
 
 
+def test_parse_auto_labels_skip_explicit_labels():
+    # an explicit label anywhere in the text, before or after, is never reused
+    net = parse_network("A -> B ; k2\nB -> C\n")
+    assert [rx.label for rx in net.reactions] == ["k2", "k3"]
+    net = parse_network("A <-> B\nB -> C ; k1\nC -> A ; k3\n")
+    assert [rx.label for rx in net.reactions] == ["k2", "k4", "k1", "k3"]
+    assert parse_network(net.render()) == net
+
+
 def test_parse_star_coefficients_and_comments():
     net = parse_network("2*X + Y -> 3*Z # inline comment\n")
     rx = net.reactions[0]

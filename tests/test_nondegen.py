@@ -117,8 +117,9 @@ def test_symbolic_jacobian_F_specialization_has_full_rank():
     mats = NetworkMatrices.from_network(CALCIUM)
     g = mats.n_mat.kernel_basis()
     # solve g @ u0 = (1,1,1,2,1,1) exactly
-    target = RatMatrix.from_columns([[1, 1, 1, 2, 1, 1]])
-    aug, _, _ = g.hstack(target).rref()
+    aug, _, _ = RatMatrix.from_rows(
+        [list(g.row(i)) + [t] for i, t in enumerate([1, 1, 1, 2, 1, 1])]
+    ).rref()
     u0 = [aug.at(i, g.cols) for i in range(g.cols)]
     assert g.mul_vec(u0) == (1, 1, 1, 2, 1, 1)
     point = {VarId.u(t): u0[t] for t in range(g.cols)}
@@ -393,7 +394,7 @@ def test_analyze_no_positive_steady_states():
 def test_analyze_rank_zero_system():
     n_mat = RatMatrix.zeros(0, 2)
     b = RatMatrix.from_rows([[1, 0], [0, 1]])
-    w = RatMatrix.identity(2)
+    w = RatMatrix.from_rows([[1, 0], [0, 1]])
     mats = NetworkMatrices.from_matrices(n_mat, b, w)
     report = analyze_matrices(mats, SamplerConfig(seed=16))
     assert report.dims == (2, 2, 0, 2)
