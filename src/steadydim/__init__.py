@@ -7,8 +7,7 @@ randomized-plus-symbolic generic-rank tests on the two parametric
 Jacobians.  Everything is computed in exact rational arithmetic.
 """
 
-from .cone import ConeResult, ConeStatus, positive_kernel_vector
-from .mpoly import MinorWitness, MissingAssignment, MPoly, VarId, all_minors_zero, det
+from .cone import ConeResult, ConeStatus
 from .netmodel import (
     Complex,
     NetworkMatrices,
@@ -30,12 +29,8 @@ from .nondegen import (
     analyze,
     analyze_matrices,
     check_steady_state,
-    evaluate_f,
-    generic_rank_test,
-    symbolic_jacobian_F,
-    symbolic_jacobian_f,
 )
-from .ratmat import RatMatrix, primitive
+from .ratmat import RatMatrix
 
 __version__ = "0.1.0"
 
@@ -48,9 +43,6 @@ __all__ = [
     "ConeStatus",
     "DimensionMismatch",
     "GenericRankVerdict",
-    "MinorWitness",
-    "MissingAssignment",
-    "MPoly",
     "NetworkMatrices",
     "ParseError",
     "RankTestStatus",
@@ -59,18 +51,9 @@ __all__ = [
     "ReactionNetwork",
     "SamplerConfig",
     "SteadyStateCheck",
-    "VarId",
     "VarietyConclusion",
-    "all_minors_zero",
     "analyze",
     "analyze_matrices",
     "check_steady_state",
-    "det",
-    "evaluate_f",
-    "generic_rank_test",
     "parse_network",
-    "positive_kernel_vector",
-    "primitive",
-    "symbolic_jacobian_F",
-    "symbolic_jacobian_f",
 ]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .ratmat import RatMatrix
@@ -296,6 +298,24 @@ class NetworkMatrices:
     r: int
     s: int
     d: int
+
+    @cached_property
+    def products(self) -> tuple[tuple[int, int, int, int | Fraction], ...]:
+        """(i, j, k, N[i,k] * B[j,k]) for every nonzero product, k ascending.
+
+        The sparsity pattern of N diag(w) B^T, collected once per network.
+        Integral products are Python ints, which multiply much faster than
+        Fractions when the pattern is evaluated at integer points.
+        """
+        out = []
+        for k in range(self.r):
+            ncol = [(i, x) for i, x in enumerate(self.n_mat.column(k)) if x]
+            bcol = [(j, x) for j, x in enumerate(self.b.column(k)) if x]
+            for i, a in ncol:
+                for j, b in bcol:
+                    c = a * b
+                    out.append((i, j, k, int(c) if c.denominator == 1 else c))
+        return tuple(out)
 
     @classmethod
     def from_network(cls, net: ReactionNetwork) -> "NetworkMatrices":

@@ -8,9 +8,13 @@ parametrization w = G u of ker(N):
   * the n x n matrix [N diag(Gu) B^T diag(h); W]   (system restricted to
     compatibility classes),
 
-where the entries are polynomials in u (and h).  Each target rank is
-tested by exact evaluation at random integer points.  If every sample
-falls short, the best one has rank rho and a nonsingular rho x rho
+where the entries are polynomials in u (and h).  Both matrices, and the
+Jacobian at an explicit point, come from one routine, ``jacobian``, which
+sums the nonzero products N[i,k] B[j,k] (collected once per network)
+against numbers or polynomials alike.  Each target rank is tested by
+exact evaluation at random integer points, straight from the integer
+matrices.  Only if every sample falls short is the polynomial matrix
+built: the best sample has rank rho and a nonsingular rho x rho
 submatrix; its bordering (rho+1)-minors either all vanish, which proves
 the rank is rho everywhere (Kronecker's theorem, a symbolic certificate),
 or one of them is a nonzero polynomial that drives the sampling to a
@@ -32,7 +36,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
 from .mpoly import MinorWitness, MPoly, VarId, all_minors_zero, bordering_minors
@@ -139,100 +143,94 @@ class AnalysisReport:
     notes: tuple[str, ...]
 
 
-# -- symbolic matrices ---------------------------------------------------
+# -- the Jacobian ----------------------------------------------------------
+
+# A rank test's matrix as a function of (u, h), h None when the test has no
+# h variables.  It must accept numbers and MPolys alike.
+MatrixFn = Callable[[Sequence, Optional[Sequence]], list[list]]
+
+
+def jacobian(mats: NetworkMatrices, w: Sequence, h: Optional[Sequence] = None) -> list[list]:
+    """The s x n matrix N diag(w) B^T diag(h) as a list of rows.
+
+    Entry (i, j) is the sum over the nonzero products N[i,k] B[j,k] of
+    N[i,k] B[j,k] w_k, times h_j when ``h`` is given.  ``w`` and ``h``
+    may hold numbers or MPolys; an entry no product reaches is the int 0.
+    """
+    rows = [[0] * mats.n for _ in range(mats.s)]
+    for i, j, k, c in mats.products:
+        rows[i][j] += c * w[k]
+    if h is not None:
+        rows = [[x * hj for x, hj in zip(row, h)] for row in rows]
+    return rows
+
+
+def _kernel_combination(mats: NetworkMatrices, g: RatMatrix):
+    """u -> G u, in Python ints where G is integral."""
+    if g.rows != mats.r:
+        raise DimensionMismatch(f"kernel basis has {g.rows} rows, expected {mats.r}")
+    g_rows = [[int(x) if x.denominator == 1 else x for x in row] for row in g.to_rows()]
+    return lambda u: [sum(x * ut for x, ut in zip(row, u) if x) for row in g_rows]
+
+
+def f_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
+    """N diag(Gu) B^T as a function of (u, h); ``g`` is a kernel basis of N."""
+    combine = _kernel_combination(mats, g)
+    return lambda u, h: jacobian(mats, combine(u))
+
+
+def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
+    """[N diag(Gu) B^T diag(h); W] as a function of (u, h)."""
+    combine = _kernel_combination(mats, g)
+    w_rows = mats.w_mat.to_rows()
+    return lambda u, h: jacobian(mats, combine(u), h) + w_rows
+
+
+def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int]) -> list[list[MPoly]]:
+    """The matrix at the variables u1.. (and h1..), every entry an MPoly."""
+    u = [MPoly.var(VarId.u(t)) for t in range(u_dim)]
+    h = None if h_dim is None else [MPoly.var(VarId.h(j)) for j in range(h_dim)]
+    return [[x if isinstance(x, MPoly) else MPoly.const(x) for x in row] for row in matrix(u, h)]
 
 
 def symbolic_jacobian_f(mats: NetworkMatrices, g: RatMatrix) -> list[list[MPoly]]:
-    """The s x n matrix N diag(Gu) B^T, entries linear in u.
-
-    ``g`` must be a kernel basis of ``mats.n_mat`` (r x (r-s)); entry
-    (i, j) is sum_k N[i,k] (Gu)_k B[j,k].  Accumulated reaction by
-    reaction over the nonzero pattern, so sparse networks stay cheap.
-    """
-    if g.rows != mats.r:
-        raise DimensionMismatch(f"kernel basis has {g.rows} rows, expected {mats.r}")
-    s, n = mats.s, mats.n
-    n_rows = mats.n_mat.to_rows()
-    b_rows = mats.b.to_rows()
-    g_rows = g.to_rows()
-    coeffs: list[list[dict[int, Fraction]]] = [[{} for _ in range(n)] for _ in range(s)]
-    for k in range(mats.r):
-        grow = [(t, gv) for t, gv in enumerate(g_rows[k]) if gv]
-        if not grow:
-            continue
-        ncol = [(i, n_rows[i][k]) for i in range(s) if n_rows[i][k]]
-        bcol = [(j, b_rows[j][k]) for j in range(n) if b_rows[j][k]]
-        for i, a in ncol:
-            for j, b_ in bcol:
-                ab = a * b_
-                entry = coeffs[i][j]
-                for t, gv in grow:
-                    entry[t] = entry.get(t, Fraction(0)) + ab * gv
-    return [
-        [
-            MPoly({((VarId.u(t), 1),): c for t, c in coeffs[i][j].items() if c})
-            for j in range(n)
-        ]
-        for i in range(s)
-    ]
+    """The s x n matrix N diag(Gu) B^T, entries linear in u."""
+    return _symbolic(f_test_matrix(mats, g), g.cols, None)
 
 
-def symbolic_jacobian_F(
-    mats: NetworkMatrices,
-    g: RatMatrix,
-    f_jacobian: Optional[list[list[MPoly]]] = None,
-) -> list[list[MPoly]]:
-    """The n x n matrix [N diag(Gu) B^T diag(h); W].
-
-    Top block: f-entries with column j multiplied by h_j; bottom block:
-    the constant conservation-law rows.  Pass ``f_jacobian`` to reuse an
-    already-built top block.
-    """
-    top = f_jacobian if f_jacobian is not None else symbolic_jacobian_f(mats, g)
-    out = []
-    for i in range(mats.s):
-        out.append([top[i][j] * MPoly.var(VarId.h(j)) for j in range(mats.n)])
-    for i in range(mats.d):
-        out.append([MPoly.const(mats.w_mat.at(i, j)) for j in range(mats.n)])
-    return out
+def symbolic_jacobian_F(mats: NetworkMatrices, g: RatMatrix) -> list[list[MPoly]]:
+    """The n x n matrix [N diag(Gu) B^T diag(h); W]."""
+    return _symbolic(F_test_matrix(mats, g), g.cols, mats.n)
 
 
 # -- randomized rank test -------------------------------------------------
 
 
 def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[int]):
-    point: dict[VarId, Fraction] = {}
+    """Integer u (zero excluded) from [-bound, bound], then h from [1, bound]."""
     u_vals = []
-    for t in range(u_dim):
+    for _ in range(u_dim):
         val = 0
         while val == 0:
             val = rng.randint(-bound, bound)
-        f = Fraction(val)
-        point[VarId.u(t)] = f
-        u_vals.append(f)
-    h_vals = None
-    if h_dim is not None:
-        h_vals = []
-        for j in range(h_dim):
-            f = Fraction(rng.randint(1, bound))
-            point[VarId.h(j)] = f
-            h_vals.append(f)
-    return point, tuple(u_vals), (tuple(h_vals) if h_vals is not None else None)
+        u_vals.append(val)
+    h_vals = None if h_dim is None else tuple(rng.randint(1, bound) for _ in range(h_dim))
+    return tuple(u_vals), h_vals
 
 
-def _eval_matrix(matrix: Sequence[Sequence[MPoly]], ncols: int, point) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [[entry.eval(point) for entry in row] for row in matrix], cols=ncols
-    )
+def _evaluate(matrix: MatrixFn, u_vals, h_vals) -> RatMatrix:
+    rows = matrix(u_vals, h_vals)
+    return RatMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
 
 
-def _nonsingular_submatrix(evaluated: RatMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _nonsingular_submatrix(
+    evaluated: RatMatrix, cols: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(rows, cols) of a square submatrix of full rank rank(evaluated).
 
-    cols are the pivot columns of the matrix, rows the pivot rows of
-    those columns.
+    ``cols`` are the pivot columns of the matrix; rows are the pivot rows
+    of those columns.
     """
-    _, cols, _ = evaluated.rref()
     picked = RatMatrix.from_rows([evaluated.column(j) for j in cols], cols=evaluated.rows)
     _, rows, _ = picked.rref()
     return rows, cols
@@ -246,8 +244,8 @@ def _bordering_certificate(
     shape: tuple[int, int],
     basis: tuple[tuple[int, ...], tuple[int, ...]],
     target: int,
-    u_vals: tuple[Fraction, ...],
-    h_vals: Optional[tuple[Fraction, ...]],
+    u_vals: tuple[int, ...],
+    h_vals: Optional[tuple[int, ...]],
 ) -> tuple[str, ...]:
     """Certificate lines: header, the sample, then every bordering minor."""
     rows, cols = basis
@@ -264,7 +262,7 @@ def _bordering_certificate(
 
 
 def generic_rank_test(
-    matrix: Sequence[Sequence[MPoly]],
+    matrix: MatrixFn,
     target: int,
     cfg: SamplerConfig | None = None,
     *,
@@ -273,12 +271,18 @@ def generic_rank_test(
     g: Optional[RatMatrix] = None,
     rng: Optional[random.Random] = None,
 ) -> GenericRankVerdict:
-    """Decide whether the symbolic matrix attains ``target`` rank somewhere.
+    """Decide whether the matrix ``matrix(u, h)`` attains ``target`` rank somewhere.
 
-    Up to ``cfg.retries`` random evaluations first.  If all fall short,
-    the highest-rank sample (rank rho, the first of equals) gives a
-    nonsingular rho x rho submatrix (R, C), and only the minors bordering
-    it are computed symbolically:
+    ``matrix`` maps u (length ``u_dim``) and h (length ``h_dim``, or None)
+    to a list of rows, for numbers and for MPolys alike: a sample is the
+    matrix at integer u and h, and the polynomial matrix is the same
+    function at the variables u1.., h1...
+
+    Up to ``cfg.retries`` samples first, each row-reduced once.  If all
+    fall short, the polynomial matrix is built, and the highest-rank
+    sample (rank rho, the first of equals) gives a nonsingular rho x rho
+    submatrix (R, C), its pivot columns and the pivot rows of those;
+    only the minors bordering it are computed symbolically:
 
       * all zero: the rank is rho over Q(u, h), so AllDegenerate, with a
         certificate naming (R, C), the sample and every bordering minor;
@@ -288,23 +292,19 @@ def generic_rank_test(
         otherwise the rank there exceeds rho and the loop repeats from it.
 
     A witness is a point at which the exact rank of the evaluated matrix
-    equals ``target``.
+    equals ``target``.  A target outside [0, min(rows, cols)] raises
+    ValueError once the samples have shown the matrix's shape.
     """
     cfg = cfg or SamplerConfig()
     rng = rng or random.Random(cfg.seed)
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if target < 0 or target > min(nrows, ncols):
-        raise ValueError(f"target rank {target} out of range for {nrows}x{ncols}")
 
     def verdict_for(u_vals, h_vals, samples) -> GenericRankVerdict:
-        w_vals = tuple(g.mul_vec(u_vals)) if g is not None else None
         return GenericRankVerdict(
             target_rank=target,
             status=RankTestStatus.NONDEGENERATE_EXISTS,
-            witness_u=u_vals,
-            witness_h=h_vals,
-            witness_w=w_vals,
+            witness_u=tuple(Fraction(x) for x in u_vals),
+            witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
+            witness_w=tuple(g.mul_vec(u_vals)) if g is not None else None,
             certificate=None,
             samples_tried=samples,
         )
@@ -322,28 +322,34 @@ def generic_rank_test(
                         f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
                         f"within {cfg.hard_cap} samples"
                     )
-                point, u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+                u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
                 samples += 1
                 hunted += 1
+                point = {VarId.u(t): x for t, x in enumerate(u_vals)}
+                point.update({VarId.h(j): x for j, x in enumerate(h_vals or ())})
                 if witness.poly.eval(point):
-                    return point, u_vals, h_vals
+                    return u_vals, h_vals
             bound *= 2
 
-    best = None  # (rank, evaluated matrix, u_vals, h_vals) of the highest-rank sample
+    best = None  # (rank, pivot columns, evaluated matrix, u_vals, h_vals) of the best sample
     for _ in range(cfg.retries):
-        point, u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+        u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
-        evaluated = _eval_matrix(matrix, ncols, point)
-        rank = evaluated.rank()
+        evaluated = _evaluate(matrix, u_vals, h_vals)
+        _, cols, rank = evaluated.rref()
         if rank == target:
             return verdict_for(u_vals, h_vals, samples)
         if best is None or rank > best[0]:
-            best = (rank, evaluated, u_vals, h_vals)
+            best = (rank, cols, evaluated, u_vals, h_vals)
 
-    rank, evaluated, u_vals, h_vals = best
+    rank, cols, evaluated, u_vals, h_vals = best
+    # no sample reaches an out-of-range target, so checking here covers it
+    if not 0 <= target <= min(evaluated.rows, evaluated.cols):
+        raise ValueError(f"target rank {target} out of range for {evaluated.rows}x{evaluated.cols}")
+    symbolic = _symbolic(matrix, u_dim, h_dim)
     while True:
-        basis = _nonsingular_submatrix(evaluated)
-        vanish, witness = all_minors_zero(matrix, rank + 1, basis=basis)
+        basis = _nonsingular_submatrix(evaluated, cols)
+        vanish, witness = all_minors_zero(symbolic, rank + 1, basis=basis)
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,
@@ -352,14 +358,14 @@ def generic_rank_test(
                 witness_h=None,
                 witness_w=None,
                 certificate=_bordering_certificate(
-                    (nrows, ncols), basis, target, u_vals, h_vals
+                    (evaluated.rows, evaluated.cols), basis, target, u_vals, h_vals
                 ),
                 samples_tried=samples,
             )
 
-        point, u_vals, h_vals = hunt(witness)
-        evaluated = _eval_matrix(matrix, ncols, point)
-        rank = evaluated.rank()
+        u_vals, h_vals = hunt(witness)
+        evaluated = _evaluate(matrix, u_vals, h_vals)
+        _, cols, rank = evaluated.rref()
         if rank == target:
             return verdict_for(u_vals, h_vals, samples)
 
@@ -413,9 +419,7 @@ def check_steady_state(mats: NetworkMatrices, kappa, x) -> SteadyStateCheck:
     kv, xv = _validate_point(mats, kappa, x)
     scaled = [k * m for k, m in zip(kv, _monomials(mats, xv))]
     residual = mats.n_mat.mul_vec(scaled)
-    jac = (mats.n_mat.scale_columns(scaled) @ mats.b.transpose()).scale_columns(
-        [1 / v for v in xv]
-    )
+    jac = RatMatrix.from_rows(jacobian(mats, scaled, [1 / v for v in xv]), cols=mats.n)
     stacked_rank = jac.vstack(mats.w_mat).rank()
     return SteadyStateCheck(
         kappa=kv,
@@ -456,9 +460,8 @@ def analyze_matrices(
     g = mats.n_mat.kernel_basis()
     u_dim = mats.r - mats.s
 
-    jac_f = symbolic_jacobian_f(mats, g)
     f_verdict = generic_rank_test(
-        jac_f,
+        f_test_matrix(mats, g),
         mats.s,
         cfg,
         u_dim=u_dim,
@@ -467,7 +470,7 @@ def analyze_matrices(
     )
     if f_verdict.nondegenerate:
         F_verdict = generic_rank_test(
-            symbolic_jacobian_F(mats, g, f_jacobian=jac_f),
+            F_test_matrix(mats, g),
             mats.n,
             cfg,
             u_dim=u_dim,

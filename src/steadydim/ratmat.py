@@ -164,14 +164,6 @@ class RatMatrix:
         v = [_frac(x) for x in vec]
         return tuple(sum((a * b for a, b in zip(self.row(i), v) if a and b), _ZERO) for i in range(self.rows))
 
-    def scale_columns(self, vec: Sequence[Scalar]) -> "RatMatrix":
-        """self @ diag(vec), without forming the diagonal matrix."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector of length {len(vec)} against {self.rows}x{self.cols}")
-        v = [_frac(x) for x in vec]
-        data = [x * v[i % self.cols] for i, x in enumerate(self._data)]
-        return RatMatrix(self.rows, self.cols, data)
-
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValueError("column counts differ")

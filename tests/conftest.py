@@ -43,6 +43,12 @@ def fixture_path(name: str) -> Path:
     return FIXTURES / name
 
 
+def diag(vec) -> RatMatrix:
+    """The diagonal matrix with ``vec`` on its diagonal."""
+    k = len(vec)
+    return RatMatrix.from_rows([[x if i == j else 0 for j in range(k)] for i, x in enumerate(vec)], cols=k)
+
+
 def random_rational_matrix(rng: random.Random, max_dim: int = 6, max_num: int = 9) -> RatMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)

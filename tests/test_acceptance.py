@@ -25,6 +25,7 @@ from steadydim.nondegen import (
     analyze_matrices,
     check_steady_state,
     evaluate_f,
+    jacobian,
     symbolic_jacobian_F,
     symbolic_jacobian_f,
 )
@@ -87,9 +88,10 @@ def test_criterion_1_calcium_exact(capsys):
     assert cli.matrices_to_dict(net, mats)["gamma"] == CALCIUM_GAMMA
     assert mats.gamma.rank() == 3
     assert mats.w_mat == RatMatrix.from_rows([[0, 0, 1, 1]])
-    # stacked matrix [gamma diag(w) b^T ; w_mat] has rank 4 at w = (1,1,1,2,1,1)
+    # stacked matrix [n_mat diag(w) b^T ; w_mat] has rank 4 at w = (1,1,1,2,1,1)
+    # (n_mat is a row basis of gamma, so gamma's stacked matrix has the same rank)
     w = (1, 1, 1, 2, 1, 1)
-    stacked = (mats.gamma.scale_columns(w) @ mats.b.transpose()).vstack(mats.w_mat)
+    stacked = RatMatrix.from_rows(jacobian(mats, w)).vstack(mats.w_mat)
     assert stacked.rank() == 4
     report = analyze(net, SamplerConfig(seed=2024))
     assert report.cone.exists
@@ -210,7 +212,7 @@ def test_criterion_5a_random_network_verdicts(capsys):
         report = analyze(net, SamplerConfig(seed=rng.randint(0, 2**32)))
         g = mats.n_mat.kernel_basis()
         jac_f = symbolic_jacobian_f(mats, g)
-        jac_F = symbolic_jacobian_F(mats, g, f_jacobian=jac_f)
+        jac_F = symbolic_jacobian_F(mats, g)
         for verdict, matrix, target, h_dim in (
             (report.f_verdict, jac_f, mats.s, None),
             (report.F_verdict, jac_F, mats.n, mats.n),

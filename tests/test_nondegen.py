@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steadydim.cone import ConeStatus
 from steadydim.mpoly import MPoly, VarId, all_minors_zero
@@ -12,6 +14,7 @@ from steadydim.nondegen import (
     BudgetExhausted,
     ClassesConclusion,
     DimensionMismatch,
+    F_test_matrix,
     RankTestStatus,
     SamplerConfig,
     VarietyConclusion,
@@ -20,13 +23,14 @@ from steadydim.nondegen import (
     check_steady_state,
     derive_seed,
     evaluate_f,
+    f_test_matrix,
     generic_rank_test,
     symbolic_jacobian_F,
     symbolic_jacobian_f,
 )
 from steadydim.ratmat import RatMatrix
 
-from conftest import fixture_path, parse_certificate, random_network
+from conftest import diag, fixture_path, parse_certificate, random_network
 
 CALCIUM = parse_network(fixture_path("calcium.crn").read_text())
 EXAMPLE42 = parse_network(fixture_path("example42.crn").read_text())
@@ -138,11 +142,69 @@ def test_zero_reactant_matrix_gives_zero_jacobian():
     assert all(p.is_zero() for row in jac for p in row)
 
 
+@st.composite
+def raw_matrices(draw) -> NetworkMatrices:
+    """from_matrices input with a non-integral n_mat and a negative exponent."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    s = draw(st.integers(1, min(n, r)))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    n_mat = RatMatrix.from_rows([[draw(entry) for _ in range(r)] for _ in range(s)])
+    b = RatMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)])
+    w_mat = RatMatrix.from_rows(
+        [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n - s)], cols=n
+    )
+    assume(n_mat.rank() == s and not n_mat.is_integral())
+    assume(w_mat.rank() == n - s and any(x < 0 for row in b.to_rows() for x in row))
+    return NetworkMatrices.from_matrices(n_mat, b, w_mat)
+
+
+NETWORK_MATRICES = st.one_of(
+    st.integers(0, 2**32).map(
+        lambda seed: NetworkMatrices.from_network(random_network(random.Random(seed)))
+    ),
+    raw_matrices(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mats=NETWORK_MATRICES, data=st.data())
+def test_sampled_matrices_equal_polynomial_matrices_at_the_sample(mats, data):
+    # a certificate's base minor is chosen on the sampled matrix and claimed
+    # nonzero at the sample for the polynomial matrix: the two must agree
+    g = mats.n_mat.kernel_basis()
+    u_vals = data.draw(st.lists(st.integers(-50, 50), min_size=g.cols, max_size=g.cols))
+    h_vals = data.draw(st.lists(st.integers(1, 50), min_size=mats.n, max_size=mats.n))
+    point = {VarId.u(t): x for t, x in enumerate(u_vals)}
+    point.update({VarId.h(j): x for j, x in enumerate(h_vals)})
+    for sampled, symbolic in (
+        (f_test_matrix(mats, g)(u_vals, None), symbolic_jacobian_f(mats, g)),
+        (F_test_matrix(mats, g)(u_vals, h_vals), symbolic_jacobian_F(mats, g)),
+    ):
+        assert sampled == [[p.eval(point) for p in row] for row in symbolic]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mats=NETWORK_MATRICES, data=st.data())
+def test_check_steady_state_jacobian_is_the_explicit_product(mats, data):
+    positive = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+    kappa = data.draw(st.lists(positive, min_size=mats.r, max_size=mats.r))
+    x = data.draw(st.lists(nonzero, min_size=mats.n, max_size=mats.n))
+    rates = [
+        kappa[k] * math.prod(x[j] ** int(mats.b.at(j, k)) for j in range(mats.n))
+        for k in range(mats.r)
+    ]
+    expected = mats.n_mat @ diag(rates) @ mats.b.transpose() @ diag([1 / v for v in x])
+    assert check_steady_state(mats, kappa, x).jacobian == expected
+
+
 # -- generic rank test ------------------------------------------------------
 
 
 def test_generic_rank_constant_identity():
-    ident = [[MPoly.const(1 if i == j else 0) for j in range(3)] for i in range(3)]
+    def ident(u, h):
+        return [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
     verdict = generic_rank_test(ident, 3, SamplerConfig(seed=1), u_dim=0)
     assert verdict.status is RankTestStatus.NONDEGENERATE_EXISTS
     assert verdict.samples_tried == 1
@@ -153,7 +215,7 @@ def test_generic_rank_quadratic_network():
     mats = NetworkMatrices.from_network(EXAMPLE46)
     g = mats.n_mat.kernel_basis()
     verdict = generic_rank_test(
-        symbolic_jacobian_f(mats, g), mats.s, SamplerConfig(seed=3), u_dim=2, g=g
+        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=3), u_dim=2, g=g
     )
     assert verdict.nondegenerate
     assert len(verdict.witness_u) == 2
@@ -161,11 +223,27 @@ def test_generic_rank_quadratic_network():
     assert verdict.witness_h is None
 
 
+def test_generic_rank_samples_build_no_polynomials(monkeypatch):
+    # samples are evaluated from the integer matrices; MPolys are built only
+    # for a certificate, after every sample falls short
+    mats = NetworkMatrices.from_network(CALCIUM)
+    g = mats.n_mat.kernel_basis()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("MPoly built while sampling")
+
+    monkeypatch.setattr(MPoly, "__init__", refuse)
+    verdict = generic_rank_test(
+        F_test_matrix(mats, g), mats.n, SamplerConfig(seed=11), u_dim=g.cols, h_dim=mats.n
+    )
+    assert verdict.nondegenerate
+
+
 def test_generic_rank_all_degenerate_with_certificate():
     mats = NetworkMatrices.from_network(EXAMPLE42)
     g = mats.n_mat.kernel_basis()
     verdict = generic_rank_test(
-        symbolic_jacobian_f(mats, g), mats.s, SamplerConfig(seed=4), u_dim=1, g=g
+        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=4), u_dim=1, g=g
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.witness_u is None
@@ -181,7 +259,7 @@ def test_generic_rank_all_degenerate_with_certificate():
 def test_generic_rank_minor_hunt_path():
     # single entry u1 + u2: vanishes at the scripted first sample, then the
     # minor scan finds it nonzero and the hunt locates a witness
-    matrix = [[u(0) + u(1)]]
+    matrix = lambda u, h: [[u[0] + u[1]]]
     rng = ScriptedRng([1, -1, 2, 3])
     verdict = generic_rank_test(
         matrix, 1, SamplerConfig(seed=0, retries=1), u_dim=2, rng=rng
@@ -196,8 +274,7 @@ def test_generic_rank_bordering_grows_then_hunts():
     # 1, so the bordering 2x2 minor (u1-1)(u2-1) is hunted, skipping (1,1,1)
     # where it vanishes; (2,2,1) has rank 2, and the bordering 3x3 minor is
     # hunted to (3,3,3)
-    z = MPoly.zero()
-    matrix = [[u(0) - 1, z, z], [z, u(1) - 1, z], [z, z, u(2) - 1]]
+    matrix = lambda u, h: [[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]]
     rng = ScriptedRng([2, 1, 1, 1, 1, 1, 2, 2, 1, 3, 3, 3])
     verdict = generic_rank_test(
         matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=3, rng=rng
@@ -210,8 +287,7 @@ def test_generic_rank_bordering_grows_then_hunts():
 def test_generic_rank_bordering_grows_then_certifies():
     # generic rank 2 < 3; the sample (2,1) has rank 1, so the loop grows the
     # basis at the hunted point (2,2) and certifies from there
-    z = MPoly.zero()
-    matrix = [[u(0) - 1, z, z], [z, u(1) - 1, z], [z, z, z]]
+    matrix = lambda u, h: [[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]]
     rng = ScriptedRng([2, 1, 2, 2])
     verdict = generic_rank_test(
         matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, rng=rng
@@ -224,7 +300,7 @@ def test_generic_rank_bordering_grows_then_certifies():
 
 
 def test_generic_rank_budget_exhausted():
-    matrix = [[u(0) + u(1)]]
+    matrix = lambda u, h: [[u[0] + u[1]]]
     rng = ScriptedRng([1, -1])
     cfg = SamplerConfig(seed=0, retries=1, pit_budget=5, hard_cap=7)
     with pytest.raises(BudgetExhausted):
@@ -233,7 +309,7 @@ def test_generic_rank_budget_exhausted():
 
 def test_generic_rank_target_out_of_range():
     with pytest.raises(ValueError):
-        generic_rank_test([[u(0)]], 2, SamplerConfig(), u_dim=1)
+        generic_rank_test(lambda u, h: [[u[0]]], 2, SamplerConfig(), u_dim=1)
 
 
 def test_generic_rank_scaling_invariance():
@@ -248,10 +324,10 @@ def test_generic_rank_scaling_invariance():
             rows=g.rows,
         )
         v1 = generic_rank_test(
-            symbolic_jacobian_f(mats, g), mats.s, SamplerConfig(seed=5), u_dim=g.cols
+            f_test_matrix(mats, g), mats.s, SamplerConfig(seed=5), u_dim=g.cols
         )
         v2 = generic_rank_test(
-            symbolic_jacobian_f(mats, scaled), mats.s, SamplerConfig(seed=6), u_dim=g.cols
+            f_test_matrix(mats, scaled), mats.s, SamplerConfig(seed=6), u_dim=g.cols
         )
         assert v1.status is v2.status
 
@@ -447,10 +523,10 @@ def test_generic_rank_matches_sympy_symbolic_rank():
         mats = NetworkMatrices.from_network(net)
         g = mats.n_mat.kernel_basis()
         jac_f = symbolic_jacobian_f(mats, g)
-        jac_F = symbolic_jacobian_F(mats, g, f_jacobian=jac_f)
+        jac_F = symbolic_jacobian_F(mats, g)
         cfg = SamplerConfig(seed=rng.randint(0, 2**32))
-        vf = generic_rank_test(jac_f, mats.s, cfg, u_dim=g.cols)
-        vF = generic_rank_test(jac_F, mats.n, cfg, u_dim=g.cols, h_dim=mats.n)
+        vf = generic_rank_test(f_test_matrix(mats, g), mats.s, cfg, u_dim=g.cols)
+        vF = generic_rank_test(F_test_matrix(mats, g), mats.n, cfg, u_dim=g.cols, h_dim=mats.n)
         assert vf.nondegenerate == (_sympy_generic_rank(jac_f) == mats.s)
         assert vF.nondegenerate == (_sympy_generic_rank(jac_F) == mats.n)
 

@@ -6,11 +6,11 @@ import sympy
 
 from steadydim.ratmat import RatMatrix, primitive
 
-from conftest import CALCIUM_B, CALCIUM_GAMMA, random_rational_matrix
+from conftest import CALCIUM_B, CALCIUM_GAMMA, diag, random_rational_matrix
 
 
 def identity(k: int) -> RatMatrix:
-    return RatMatrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
+    return diag([1] * k)
 
 
 def test_primitive_rescaling():
@@ -54,7 +54,7 @@ def test_rank_basics():
 
 def test_rank_stacked_calcium(calcium_gamma, calcium_b):
     # rank [Gamma diag(w) B^T ; W] = 4 at w = (1,1,1,2,1,1)
-    scaled = calcium_gamma.scale_columns([1, 1, 1, 2, 1, 1])
+    scaled = calcium_gamma @ diag([1, 1, 1, 2, 1, 1])
     stacked = (scaled @ calcium_b.transpose()).vstack(
         RatMatrix.from_rows([[0, 0, 1, 1]])
     )
@@ -181,15 +181,16 @@ def test_row_equivalent_stacked_ranks_random_networks():
         w = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(mats.r)]
         h = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(mats.n)]
         bt = mats.b.transpose()
-        via_gamma = (mats.gamma.scale_columns(w) @ bt).scale_columns(h).vstack(mats.w_mat)
-        via_n = (mats.n_mat.scale_columns(w) @ bt).scale_columns(h).vstack(mats.w_mat)
+        via_gamma = (mats.gamma @ diag(w) @ bt @ diag(h)).vstack(mats.w_mat)
+        via_n = (mats.n_mat @ diag(w) @ bt @ diag(h)).vstack(mats.w_mat)
         assert via_gamma.rank() == via_n.rank()
 
 
 def test_scale_columns():
+    # right multiplication by a diagonal matrix scales the columns
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.scale_columns([2, 3]) == RatMatrix.from_rows([[2, 6], [6, 12]])
-    assert m.scale_columns([2, 3]) == m @ RatMatrix.from_rows([[2, 0], [0, 3]])
+    assert diag([2, 3]) == RatMatrix.from_rows([[2, 0], [0, 3]])
+    assert m @ diag([2, 3]) == RatMatrix.from_rows([[2, 6], [6, 12]])
 
 
 def test_against_sympy_oracle():
