@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -300,10 +301,10 @@ def _read_network(path: Path) -> ReactionNetwork:
 
 def cmd_analyze(args) -> int:
     path = Path(args.path)
-    seed = _resolve_seed(args)
+    cfg = _config_from_args(args, _resolve_seed(args))
     if path.is_dir():
-        return _analyze_batch(path, args, seed)
-    report = analyze(_read_network(path), _config_from_args(args, seed))
+        return _analyze_batch(path, cfg)
+    report = analyze(_read_network(path), cfg)
     if args.json:
         print(json.dumps(report_to_dict(report)))
     else:
@@ -311,20 +312,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _analyze_batch(directory: Path, args, seed: int) -> int:
+def _analyze_batch(directory: Path, cfg: SamplerConfig) -> int:
     """One JSON-lines record per .crn file, in sorted path order.
 
     Per-file RNG streams are derived from (seed, file name), so records
     do not depend on processing order or on the directory's location.
-    A file that fails for any reason becomes a ``{"path", "error"}``
-    record; the rest are still analyzed and the exit code is 1.
+    ``cfg`` was validated once by the caller, so a bad option is one
+    usage error, not an error record per file.  A file that fails for
+    any reason becomes a ``{"path", "error"}`` record; the rest are still
+    analyzed and the exit code is 1.
     """
     failed = False
     for path in sorted(directory.glob("*.crn")):
         record: dict = {"path": str(path)}
         try:
-            cfg = _config_from_args(args, derive_seed(seed, path.name))
-            report = analyze(_read_network(path), cfg)
+            report = analyze(_read_network(path), replace(cfg, seed=derive_seed(cfg.seed, path.name)))
             record.update(report_to_dict(report))
         except (ParseError, OSError) as exc:
             record["error"] = str(exc)
@@ -412,8 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: a parser per call would leave its objects in reference cycles
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UsageError, FileNotFoundError, IsADirectoryError) as exc:

@@ -288,6 +288,9 @@ class NetworkMatrices:
     b     : n x r reactant-exponent matrix
     n_mat : s x r integer row basis of gamma (s = rank gamma)
     w_mat : d x n integer left-kernel basis of gamma (d = n - s)
+
+    ``g`` (the kernel basis of N) and ``products`` (the pattern of
+    N diag(w) B^T) are computed on first use and kept.
     """
 
     gamma: RatMatrix
@@ -300,6 +303,15 @@ class NetworkMatrices:
     d: int
 
     @cached_property
+    def g(self) -> RatMatrix:
+        """r x (r - s) kernel basis G of N, one primitive integer column each.
+
+        ker N = ker gamma and RREF(N) = RREF(gamma), so G comes from the
+        elimination that gave ``n_mat`` (the matrix keeps its RREF).
+        """
+        return self.gamma.kernel_basis()
+
+    @cached_property
     def products(self) -> tuple[tuple[int, int, int, int | Fraction], ...]:
         """(i, j, k, N[i,k] * B[j,k]) for every nonzero product, k ascending.
 
@@ -307,11 +319,11 @@ class NetworkMatrices:
         Integral products are Python ints, which multiply much faster than
         Fractions when the pattern is evaluated at integer points.
         """
+        n_cols, b_cols = self.n_mat.transpose(), self.b.transpose()
         out = []
         for k in range(self.r):
-            ncol = [(i, x) for i, x in enumerate(self.n_mat.column(k)) if x]
-            bcol = [(j, x) for j, x in enumerate(self.b.column(k)) if x]
-            for i, a in ncol:
+            bcol = b_cols.entries(k).items()
+            for i, a in n_cols.entries(k).items():
                 for j, b in bcol:
                     c = a * b
                     out.append((i, j, k, int(c) if c.denominator == 1 else c))
@@ -320,13 +332,16 @@ class NetworkMatrices:
     @classmethod
     def from_network(cls, net: ReactionNetwork) -> "NetworkMatrices":
         n, r = net.n, net.r
-        gamma_cols = []
-        b_cols = []
-        for rx in net.reactions:
-            gamma_cols.append([rx.product.coefficient(i) - rx.reactant.coefficient(i) for i in range(n)])
-            b_cols.append([rx.reactant.coefficient(i) for i in range(n)])
-        gamma = RatMatrix.from_columns(gamma_cols, rows=n)
-        b = RatMatrix.from_columns(b_cols, rows=n)
+        gamma_rows: list[dict[int, int]] = [{} for _ in range(n)]
+        b_rows: list[dict[int, int]] = [{} for _ in range(n)]
+        for k, rx in enumerate(net.reactions):
+            for i, c in rx.product.coeffs:
+                gamma_rows[i][k] = c
+            for i, c in rx.reactant.coeffs:
+                gamma_rows[i][k] = gamma_rows[i].get(k, 0) - c
+                b_rows[i][k] = c
+        gamma = RatMatrix.from_entries(n, r, gamma_rows)
+        b = RatMatrix.from_entries(n, r, b_rows)
         n_mat = gamma.row_basis()
         w_mat = gamma.left_kernel_basis()
         s = n_mat.rows

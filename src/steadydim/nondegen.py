@@ -11,16 +11,17 @@ parametrization w = G u of ker(N):
 where the entries are polynomials in u (and h).  Both matrices, and the
 Jacobian at an explicit point, come from one routine, ``jacobian``, which
 sums the nonzero products N[i,k] B[j,k] (collected once per network)
-against numbers or polynomials alike.  Each target rank is tested by
-exact evaluation at random integer points, straight from the integer
-matrices.  Only if every sample falls short is the polynomial matrix
-built: the best sample has rank rho and a nonsingular rho x rho
-submatrix; its bordering (rho+1)-minors either all vanish, which proves
-the rank is rho everywhere (Kronecker's theorem, a symbolic certificate),
-or one of them is a nonzero polynomial that drives the sampling to a
-point of higher rank, until the target is reached.  When the first
-matrix is rank deficient everywhere, so is the second, and its test is
-skipped.
+against numbers or polynomials alike.  Each target rank is tested at
+random integer points, straight from the integer matrices: a sample's
+rank modulo the prime 2^61 - 1 proves a full target rank, and exact
+rational elimination decides every other sample.  Only if every sample
+falls short is the polynomial matrix built: the best sample has rank rho
+and a nonsingular rho x rho submatrix; its bordering (rho+1)-minors
+either all vanish, which proves the rank is rho everywhere (Kronecker's
+theorem, a symbolic certificate), or one of them is a nonzero polynomial
+that drives the sampling to a point of higher rank, until the target is
+reached.  When the first matrix is rank deficient everywhere, so is the
+second, and its test is skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
@@ -41,7 +42,7 @@ from typing import Callable, Optional, Sequence
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
 from .mpoly import MinorWitness, MPoly, VarId, all_minors_zero, bordering_minors
 from .netmodel import NetworkMatrices, ReactionNetwork
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, rank_mod_p
 
 _ONE = Fraction(1)
 
@@ -169,8 +170,10 @@ def _kernel_combination(mats: NetworkMatrices, g: RatMatrix):
     """u -> G u, in Python ints where G is integral."""
     if g.rows != mats.r:
         raise DimensionMismatch(f"kernel basis has {g.rows} rows, expected {mats.r}")
-    g_rows = [[int(x) if x.denominator == 1 else x for x in row] for row in g.to_rows()]
-    return lambda u: [sum(x * ut for x, ut in zip(row, u) if x) for row in g_rows]
+    g_rows = [
+        [(t, int(x) if x.denominator == 1 else x) for t, x in g.entries(k).items()] for k in range(g.rows)
+    ]
+    return lambda u: [sum(x * u[t] for t, x in row) for row in g_rows]
 
 
 def f_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
@@ -182,7 +185,7 @@ def f_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
 def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
     """[N diag(Gu) B^T diag(h); W] as a function of (u, h)."""
     combine = _kernel_combination(mats, g)
-    w_rows = mats.w_mat.to_rows()
+    w_rows = [[int(x) if x.denominator == 1 else x for x in row] for row in mats.w_mat.to_rows()]
     return lambda u, h: jacobian(mats, combine(u), h) + w_rows
 
 
@@ -218,11 +221,6 @@ def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[in
     return tuple(u_vals), h_vals
 
 
-def _evaluate(matrix: MatrixFn, u_vals, h_vals) -> RatMatrix:
-    rows = matrix(u_vals, h_vals)
-    return RatMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
-
-
 def _nonsingular_submatrix(
     evaluated: RatMatrix, cols: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -231,7 +229,8 @@ def _nonsingular_submatrix(
     ``cols`` are the pivot columns of the matrix; rows are the pivot rows
     of those columns.
     """
-    picked = RatMatrix.from_rows([evaluated.column(j) for j in cols], cols=evaluated.rows)
+    columns = evaluated.transpose()
+    picked = RatMatrix(len(cols), evaluated.rows, [columns.entries(j) for j in cols])
     _, rows, _ = picked.rref()
     return rows, cols
 
@@ -278,7 +277,12 @@ def generic_rank_test(
     matrix at integer u and h, and the polynomial matrix is the same
     function at the variables u1.., h1...
 
-    Up to ``cfg.retries`` samples first, each row-reduced once.  If all
+    Up to ``cfg.retries`` samples first.  A sample is ranked modulo the
+    prime ``ratmat.MODULUS`` first: when the target is the full rank
+    min(rows, cols) and the rank mod p reaches it, the exact rank is
+    proven without rational arithmetic.  Every other sample is
+    row-reduced once over Q, and the exact ranks alone choose the best
+    sample, the pivots and the certificate.  If all
     fall short, the polynomial matrix is built, and the highest-rank
     sample (rank rho, the first of equals) gives a nonsingular rho x rho
     submatrix (R, C), its pivot columns and the pivot rows of those;
@@ -309,6 +313,19 @@ def generic_rank_test(
             samples_tried=samples,
         )
 
+    def evaluate(u_vals, h_vals):
+        """(rank, pivot columns, evaluated matrix) at a sample; only the rank,
+        ``target``, when the rank mod p proves it."""
+        rows = matrix(u_vals, h_vals)
+        ncols = len(rows[0]) if rows else 0
+        # the rank mod p never exceeds the rational rank, so reaching the
+        # full rank proves it; short of it, or below full, it decides nothing
+        if target == min(len(rows), ncols) and rank_mod_p(rows) == target:
+            return target, None, None
+        evaluated = RatMatrix.from_rows(rows, cols=ncols)
+        _, cols, rank = evaluated.rref()
+        return rank, cols, evaluated
+
     bound = cfg.sample_bound
     samples = hunted = 0
 
@@ -335,8 +352,7 @@ def generic_rank_test(
     for _ in range(cfg.retries):
         u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
-        evaluated = _evaluate(matrix, u_vals, h_vals)
-        _, cols, rank = evaluated.rref()
+        rank, cols, evaluated = evaluate(u_vals, h_vals)
         if rank == target:
             return verdict_for(u_vals, h_vals, samples)
         if best is None or rank > best[0]:
@@ -364,8 +380,7 @@ def generic_rank_test(
             )
 
         u_vals, h_vals = hunt(witness)
-        evaluated = _evaluate(matrix, u_vals, h_vals)
-        _, cols, rank = evaluated.rref()
+        rank, cols, evaluated = evaluate(u_vals, h_vals)
         if rank == target:
             return verdict_for(u_vals, h_vals, samples)
 
@@ -389,13 +404,12 @@ def _validate_point(mats: NetworkMatrices, kappa, x):
 
 def _monomials(mats: NetworkMatrices, x: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     # (x^B)_i = prod_j x_j^{B[j,i]}; integer exponents of either sign
+    b_cols = mats.b.transpose()
     vals = []
     for i in range(mats.r):
         acc = _ONE
-        for j in range(mats.n):
-            e = mats.b.at(j, i)
-            if e:
-                acc *= x[j] ** int(e)
+        for j, e in b_cols.entries(i).items():
+            acc *= x[j] ** int(e)
         vals.append(acc)
     return tuple(vals)
 
@@ -457,7 +471,7 @@ def analyze_matrices(
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
-    g = mats.n_mat.kernel_basis()
+    g = mats.g
     u_dim = mats.r - mats.s
 
     f_verdict = generic_rank_test(

@@ -1,21 +1,32 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Dense matrices of ``fractions.Fraction`` with reduced row echelon form,
-rank, and right/left kernel and row-space bases.  Matrices are immutable
-after construction, so values can be shared freely across threads.
+A ``RatMatrix`` stores only its nonzero entries: one dict
+``{column: Fraction}`` per row.  Reduced row echelon form, rank, and
+right/left kernel and row-space bases all eliminate on those dicts, so
+the work follows the nonzeros rather than the shape (a stoichiometric
+matrix has a few nonzeros per column).  Matrices are immutable after
+construction, so values can be shared freely across threads; each one
+keeps its RREF once computed, so the row basis and the kernel basis of
+one matrix cost one elimination.
 
-Scale note: everything here is meant for network-sized problems (tens of
-rows/columns), stored densely.  Basis vectors are rescaled to primitive
-integer vectors to keep downstream coefficients small.
+``rank_mod_p`` ranks a matrix of ints and Fractions modulo the prime
+``MODULUS``; that rank never exceeds the rational rank, so a full rank
+modulo p proves full rank over Q.
+
+Basis vectors are rescaled to primitive integer vectors to keep
+downstream coefficients small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
+
+# the Mersenne prime 2^61 - 1
+MODULUS = (1 << 61) - 1
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -25,6 +36,23 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _nonzeros(items: Iterable[tuple[int, Scalar]]) -> dict[int, Fraction]:
+    """{index: Fraction} for the nonzero values among (index, value) pairs."""
+    return {j: v for j, x in items if x and (v := _frac(x))}
+
+
+def _primitive(entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """The primitive integer multiple of a sparse vector, first entry positive."""
+    if not entries:
+        return {}
+    mult = lcm(*(x.denominator for x in entries.values()))
+    ints = {j: x.numerator * (mult // x.denominator) for j, x in entries.items()}
+    content = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        content = -content
+    return {j: Fraction(x // content) for j, x in ints.items()}
+
+
 def primitive(vec: Iterable[Scalar]) -> tuple[Fraction, ...]:
     """Rescale a rational vector to a primitive integer vector.
 
@@ -32,34 +60,31 @@ def primitive(vec: Iterable[Scalar]) -> tuple[Fraction, ...]:
     flips the sign so the first nonzero entry is positive.  The zero
     vector is returned unchanged.
     """
-    v = [_frac(x) for x in vec]
-    nonzero = [x for x in v if x]
-    if not nonzero:
-        return tuple(v)
-    mult = Fraction(lcm(*(x.denominator for x in nonzero)))
-    ints = [x * mult for x in v]
-    content = gcd(*(int(x) for x in ints if x))
-    if content > 1:
-        ints = [x / content for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    v = list(vec)
+    p = _primitive(_nonzeros(enumerate(v)))
+    return tuple(p.get(j, _ZERO) for j in range(len(v)))
 
 
 class RatMatrix:
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable sparse matrix of rationals.
 
-    __slots__ = ("rows", "cols", "_data")
+    Row i is a dict {column: nonzero Fraction} with its columns in
+    ascending order; every constructor and operation keeps that order.
+    """
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Fraction]):
-        if rows < 0 or cols < 0 or len(data) != rows * cols:
-            raise ValueError(f"bad shape: {rows}x{cols} with {len(data)} entries")
+    __slots__ = ("rows", "cols", "_entries", "_rref")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[dict[int, Fraction]]):
+        """Take ``entries`` as is: one dict per row, as the class stores it.
+
+        ``from_entries`` accepts any values and drops zeros.
+        """
+        if rows < 0 or cols < 0 or len(entries) != rows:
+            raise ValueError(f"bad shape: {rows}x{cols} with {len(entries)} rows of entries")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_data", tuple(data))
+        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -67,19 +92,23 @@ class RatMatrix:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Sequence[Mapping[int, Scalar]]) -> "RatMatrix":
+        """``entries[i]`` maps column indices of row i to values; zeros are dropped."""
+        if any(not 0 <= j < cols for d in entries for j in d):
+            raise ValueError(f"column index out of range for {rows}x{cols}")
+        return cls(rows, cols, [_nonzeros(sorted(d.items())) for d in entries])
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "RatMatrix":
         nrows = len(rows)
         if nrows == 0:
             if cols is None:
                 raise ValueError("column count required for a matrix with no rows")
-            return cls(0, cols, ())
+            return cls(0, cols, [])
         ncols = len(rows[0]) if cols is None else cols
-        data = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            data.extend(_frac(x) for x in row)
-        return cls(nrows, ncols, data)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return cls(nrows, ncols, [_nonzeros(enumerate(row)) for row in rows])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "RatMatrix":
@@ -87,49 +116,50 @@ class RatMatrix:
         if ncols == 0:
             if rows is None:
                 raise ValueError("row count required for a matrix with no columns")
-            return cls(rows, 0, ())
+            return cls(rows, 0, [{} for _ in range(rows)])
         nrows = len(columns[0]) if rows is None else rows
-        data = []
-        for i in range(nrows):
-            for col in columns:
-                if len(col) != nrows:
-                    raise ValueError("ragged columns")
-                data.append(_frac(col[i]))
-        return cls(nrows, ncols, data)
+        if any(len(col) != nrows for col in columns):
+            raise ValueError("ragged columns")
+        return cls(ncols, nrows, [_nonzeros(enumerate(col)) for col in columns]).transpose()
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls(rows, cols, [{} for _ in range(rows)])
 
     # -- access ------------------------------------------------------
 
     def at(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self._data[i * self.cols + j]
+        return self._entries[i].get(j, _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i * self.cols : (i + 1) * self.cols]
+        d = self._entries[i]
+        return tuple(d.get(j, _ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
+        return tuple(d.get(j, _ZERO) for d in self._entries)
+
+    def entries(self, i: int) -> dict[int, Fraction]:
+        """The nonzero entries of row i as a new dict {column: value}."""
+        return dict(self._entries[i])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not any(self._data)
+        return not any(self._entries)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self._data)
+        return all(x.denominator == 1 for d in self._entries for x in d.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+        return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, tuple(tuple(d.items()) for d in self._entries)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -138,79 +168,78 @@ class RatMatrix:
     # -- arithmetic --------------------------------------------------
 
     def transpose(self) -> "RatMatrix":
-        data = [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return RatMatrix(self.cols, self.rows, data)
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, d in enumerate(self._entries):
+            for j, x in d.items():
+                out[j][i] = x
+        return RatMatrix(self.cols, self.rows, out)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        data = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        b = other._data[k * other.cols + j]
-                        if b:
-                            acc += a * b
-                data.append(acc)
-        return RatMatrix(self.rows, other.cols, data)
+        out = []
+        for d in self._entries:
+            acc: dict[int, Fraction] = {}
+            for k, a in d.items():
+                for j, b in other._entries[k].items():
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            out.append({j: x for j, x in sorted(acc.items()) if x})
+        return RatMatrix(self.rows, other.cols, out)
 
     def mul_vec(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.rows}x{self.cols}")
         v = [_frac(x) for x in vec]
-        return tuple(sum((a * b for a, b in zip(self.row(i), v) if a and b), _ZERO) for i in range(self.rows))
+        return tuple(sum((a * v[j] for j, a in d.items()), _ZERO) for d in self._entries)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValueError("column counts differ")
-        return RatMatrix(self.rows + other.rows, self.cols, self._data + other._data)
+        return RatMatrix(self.rows + other.rows, self.cols, list(self._entries + other._entries))
 
     # -- elimination -------------------------------------------------
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...], int]:
         """Reduced row echelon form.
 
-        Returns ``(R, pivot_columns, rank)``.  Within each column the
-        pivot is chosen with the largest absolute value among the
-        remaining rows (the result is the unique RREF either way; the
-        choice only controls intermediate entry sizes).
+        Returns ``(R, pivot_columns, rank)``.  Column by column, the pivot
+        is the sparsest remaining row with a nonzero there (the lowest
+        index among equals), and only rows with a nonzero in the pivot
+        column are updated, only where the pivot row is nonzero.  The
+        RREF is unique, so the pivot choice only controls the work and
+        the intermediate entry sizes.  The result is computed once per
+        matrix.
         """
-        m = self.to_rows()
+        if self._rref is None:
+            object.__setattr__(self, "_rref", self._eliminate())
+        return self._rref
+
+    def _eliminate(self) -> tuple["RatMatrix", tuple[int, ...], int]:
+        work = [dict(d) for d in self._entries]
+        free = set(range(self.rows))
         pivots: list[int] = []
-        pr = 0
+        pivot_rows: list[int] = []
         for pc in range(self.cols):
-            if pr == self.rows:
+            if not free:
                 break
-            best = -1
-            best_abs = _ZERO
-            for i in range(pr, self.rows):
-                a = abs(m[i][pc])
-                if a > best_abs:
-                    best, best_abs = i, a
-            if best < 0:
+            hits = [i for i, d in enumerate(work) if pc in d]
+            cands = [i for i in hits if i in free]
+            if not cands:
                 continue
-            m[pr], m[best] = m[best], m[pr]
-            piv = m[pr][pc]
-            if piv != 1:
-                m[pr] = [x / piv for x in m[pr]]
-            rp = m[pr]
-            for i in range(self.rows):
-                if i == pr:
-                    continue
-                f = m[i][pc]
-                if f:
-                    ri = m[i]
-                    for j in range(pc, self.cols):
-                        if rp[j]:
-                            ri[j] -= f * rp[j]
+            p = min(cands, key=lambda i: len(work[i]))
+            piv = work[p][pc]
+            rp = work[p] if piv == 1 else {j: x / piv for j, x in work[p].items()}
+            work[p] = rp
+            for i in hits:
+                if i != p:
+                    add_multiple(work[i], -work[i][pc], rp)
+            free.discard(p)
             pivots.append(pc)
-            pr += 1
-        flat = [x for row in m for x in row]
-        return RatMatrix(self.rows, self.cols, flat), tuple(pivots), len(pivots)
+            pivot_rows.append(p)
+        rank = len(pivots)
+        entries = [dict(sorted(work[p].items())) for p in pivot_rows]
+        entries += [{} for _ in range(self.rows - rank)]
+        return RatMatrix(self.rows, self.cols, entries), tuple(pivots), rank
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -219,19 +248,23 @@ class RatMatrix:
         """Basis of the right kernel, one primitive integer vector per column.
 
         The returned matrix ``K`` is ``cols x (cols - rank)`` and satisfies
-        ``self @ K == 0`` exactly.
+        ``self @ K == 0`` exactly.  Column t is the primitive multiple of
+        the vector that is 1 at the t-th free column, 0 at the other free
+        columns and solves the RREF at the pivot columns.
         """
         red, pivots, rank = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        columns = []
-        for fc in free:
-            v = [_ZERO] * self.cols
-            v[fc] = _ONE
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for t, fc in enumerate(free):
+            v = {fc: _ONE}
             for i, pc in enumerate(pivots):
-                v[pc] = -red.at(i, fc)
-            columns.append(primitive(v))
-        return RatMatrix.from_columns(columns, rows=self.cols)
+                x = red._entries[i].get(fc)
+                if x:
+                    v[pc] = -x
+            for j, x in _primitive(v).items():
+                out[j][t] = x
+        return RatMatrix(self.cols, len(free), out)
 
     def row_basis(self) -> "RatMatrix":
         """Row-space basis: nonzero RREF rows rescaled to primitive integers.
@@ -240,12 +273,104 @@ class RatMatrix:
         row space as ``self``.
         """
         red, _, rank = self.rref()
-        rows = [primitive(red.row(i)) for i in range(rank)]
-        return RatMatrix.from_rows(rows, cols=self.cols)
+        return RatMatrix(rank, self.cols, [_primitive(red._entries[i]) for i in range(rank)])
 
     def left_kernel_basis(self) -> "RatMatrix":
         """Basis of the left kernel as primitive integer rows.
 
         The result ``K`` is ``(rows - rank) x rows`` with ``K @ self == 0``.
+        The rows are reduced in order against the independent rows before
+        them (the row-rank profile), recording the multiple of each
+        reduced profile row that was subtracted.  A row that reduces to
+        zero is a combination of the profile rows before it; unwinding the
+        recorded multiples gives that combination, the one left-kernel
+        vector that is 1 at the row and 0 at the other rows outside the
+        profile, and its primitive multiple becomes a basis row.
         """
-        return self.transpose().kernel_basis().transpose()
+        # per profile row: (original row index, reduced row, {earlier profile row: multiple})
+        profile: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+        lead_of: dict[int, int] = {}  # leading column of a reduced profile row -> its position
+        out = []
+        for i, row in enumerate(self._entries):
+            vec = dict(row)
+            mult: dict[int, Fraction] = {}
+            while True:
+                lead = min((j for j in vec if j in lead_of), default=None)
+                if lead is None:
+                    break
+                k = lead_of[lead]
+                reduced = profile[k][1]
+                f = vec[lead] / reduced[lead]
+                mult[k] = f
+                add_multiple(vec, -f, reduced)
+            if vec:
+                lead_of[min(vec)] = len(profile)
+                profile.append((i, vec, mult))
+                continue
+            # row i = sum mult[k] * reduced_k, and reduced_k = row_(profile k) - sum of its own multiples
+            comb = {i: _ONE}
+            for k in range(max(mult, default=-1), -1, -1):
+                c = mult.get(k)
+                if c:
+                    src, _, below = profile[k]
+                    comb[src] = -c
+                    for m, fm in below.items():
+                        mult[m] = mult.get(m, _ZERO) - c * fm
+            out.append(dict(sorted(_primitive(comb).items())))
+        return RatMatrix(len(out), self.rows, out)
+
+
+def add_multiple(target: dict, f, source: dict) -> None:
+    """target += f * source on sparse rows, dropping the entries that cancel."""
+    for j, x in source.items():
+        y = target.get(j, _ZERO) + f * x
+        if y:
+            target[j] = y
+        else:
+            del target[j]
+
+
+def rank_mod_p(rows: Sequence[Sequence]) -> Optional[int]:
+    """Rank modulo ``MODULUS`` of a matrix of ints and Fractions.
+
+    None when a denominator is divisible by the modulus.  Eliminates
+    forward only, on sparse rows, pivoting on the sparsest row.
+    """
+    p = MODULUS
+    work = []
+    for row in rows:
+        d = {}
+        for j, x in enumerate(row):
+            if x:
+                if x.__class__ is not int:
+                    den = x.denominator % p
+                    if not den:
+                        return None
+                    x = x.numerator * pow(den, -1, p)
+                x %= p
+                if x:
+                    d[j] = x
+        if d:
+            work.append(d)
+    rank = 0
+    ncols = max((len(row) for row in rows), default=0)
+    for pc in range(ncols):
+        if not work:
+            break
+        hits = [d for d in work if pc in d]
+        if not hits:
+            continue
+        rp = min(hits, key=len)
+        inv = pow(rp[pc], -1, p)
+        for ri in hits:
+            if ri is not rp:
+                f = ri[pc] * inv % p
+                for j, x in rp.items():
+                    y = (ri.get(j, 0) - f * x) % p
+                    if y:
+                        ri[j] = y
+                    else:
+                        del ri[j]
+        work = [d for d in work if d and d is not rp]
+        rank += 1
+    return rank

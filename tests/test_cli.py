@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 import subprocess
@@ -227,6 +228,39 @@ def test_usage_error_on_bad_retries(capsys):
     code, _, err = run_cli(capsys, "analyze", CALCIUM, "--retries", "0")
     assert code == 1
     assert "retries" in err
+
+
+@pytest.mark.parametrize("option", [("--retries", "0"), ("--bound", "1")])
+def test_batch_mode_bad_option_is_one_usage_error(tmp_path, capsys, option):
+    (tmp_path / "a_calcium.crn").write_text(fixture_path("calcium.crn").read_text())
+    (tmp_path / "b_quadratic.crn").write_text(fixture_path("example46.crn").read_text())
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path), *option)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "internal error" not in err
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    argvs = [
+        ["analyze", CALCIUM, "--json", "--seed", "3"],
+        ["analyze", EXAMPLE42],
+        ["matrices", CALCIUM, "--json"],
+        ["check-point", EXAMPLE46, "--kappa", "1,5/2,6", "--x", "2,7"],
+    ]
+    for argv in argvs:  # first calls may fill caches that live on
+        cli.main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for argv in argvs:
+                assert cli.main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert unreachable == 0
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -170,7 +170,7 @@ def test_matrix_invariants_random():
             total_reactant = sum(c for _, c in rx.reactant.coeffs)
             assert sum(mats.gamma.column(j)) == total_product - total_reactant
             assert mats.b.column(j) == tuple(rx.reactant.coefficient(i) for i in range(mats.n))
-        assert all(x >= 0 for x in mats.b._data)
+        assert all(x >= 0 for row in mats.b.to_rows() for x in row)
         assert mats.gamma.vstack(mats.n_mat).rank() == mats.s
         assert mats.w_mat.rank() == mats.n - mats.s
         assert (mats.w_mat @ mats.gamma).is_zero()

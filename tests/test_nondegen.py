@@ -1,8 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,8 @@ from steadydim.nondegen import (
     symbolic_jacobian_F,
     symbolic_jacobian_f,
 )
-from steadydim.ratmat import RatMatrix
+from steadydim import nondegen
+from steadydim.ratmat import MODULUS, RatMatrix
 
 from conftest import diag, fixture_path, parse_certificate, random_network
 
@@ -310,6 +313,71 @@ def test_generic_rank_budget_exhausted():
 def test_generic_rank_target_out_of_range():
     with pytest.raises(ValueError):
         generic_rank_test(lambda u, h: [[u[0]]], 2, SamplerConfig(), u_dim=1)
+
+
+# -- the modular shortcut ------------------------------------------------------
+
+
+def _exact_rank(rows) -> int:
+    """Oracle: sympy's rank of a matrix of ints and Fractions."""
+    if not rows or not rows[0]:
+        return 0
+    return sympy.Matrix(
+        [[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in row] for row in rows]
+    ).rank()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_modular_shortcut_never_returns_a_wrong_witness(data):
+    # left diag(u) right with scaled rows: generic rank at most ``inner``; a
+    # row times p vanishes modulo p and a 1/p has no residue, so both need the
+    # exact path; targets below min(rows, cols) may not take the shortcut at all
+    rows, cols, inner = (data.draw(st.integers(1, 4)) for _ in range(3))
+    left = [[data.draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(rows)]
+    right = [[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(inner)]
+    scales = st.sampled_from([1, 1, MODULUS, Fraction(1, MODULUS), Fraction(MODULUS, 7)])
+    scale = [data.draw(scales) for _ in range(rows)]
+    target = data.draw(st.integers(0, min(rows, cols)))
+
+    def matrix(u, h):
+        return [
+            [scale[i] * sum(left[i][t] * u[t] * right[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)
+        ]
+
+    cfg = SamplerConfig(seed=data.draw(st.integers(0, 99)), retries=2)
+
+    def outcome():
+        # a target below the generic rank can make the bordering minors
+        # outgrow the matrix; that ValueError is part of the outcome
+        try:
+            return generic_rank_test(matrix, target, cfg, u_dim=inner)
+        except ValueError as exc:
+            return str(exc)
+
+    verdict = outcome()
+    if not isinstance(verdict, str) and verdict.nondegenerate:
+        assert _exact_rank(matrix(verdict.witness_u, None)) == target
+    # the same samples with every rank computed over Q give the same outcome
+    with mock.patch.object(nondegen, "rank_mod_p", lambda rows: None):
+        assert outcome() == verdict
+
+
+def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
+    # every entry is a multiple of p, so the rank mod p is 0 < 1 = the exact rank
+    verdict = generic_rank_test(lambda u, h: [[MODULUS * u[0]]], 1, SamplerConfig(seed=2), u_dim=1)
+    assert verdict.nondegenerate and verdict.samples_tried == 1
+    verdict = generic_rank_test(lambda u, h: [[Fraction(u[0], MODULUS)]], 1, SamplerConfig(seed=2), u_dim=1)
+    assert verdict.nondegenerate and verdict.samples_tried == 1
+
+
+def test_modular_shortcut_needs_the_full_rank_target():
+    # rank 2 everywhere, rank 1 modulo p: a target of 1 is not proven by the
+    # rank mod p, and no sample has exact rank 1
+    matrix = lambda u, h: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
+    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=2), u_dim=2)
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE
 
 
 def test_generic_rank_scaling_invariance():

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steadydim.ratmat import RatMatrix, primitive
+from steadydim.ratmat import MODULUS, RatMatrix, primitive, rank_mod_p
 
 from conftest import CALCIUM_B, CALCIUM_GAMMA, diag, random_rational_matrix
 
@@ -205,3 +207,111 @@ def test_against_sympy_oracle():
         for i in range(m.rows):
             for j in range(m.cols):
                 assert red.at(i, j) == Fraction(int(sym_rref[i, j].p), int(sym_rref[i, j].q))
+
+
+# -- the sparse core against sympy ---------------------------------------------
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim: int = 6, rows: int | None = None) -> RatMatrix:
+    """Mostly-zero matrices of ints and rationals, with zero rows and columns
+    and empty shapes among them."""
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim))
+    data = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=2)) if rows else ():
+        data[i] = [0] * cols
+    for j in draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=2)) if cols else ():
+        for row in data:
+            row[j] = 0
+    return RatMatrix.from_rows(data, cols=cols)
+
+
+def to_sympy(m: RatMatrix) -> sympy.Matrix:
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.at(i, j)))
+
+
+def from_sympy(sm: sympy.Matrix) -> RatMatrix:
+    return RatMatrix.from_rows(
+        [[Fraction(int(sm[i, j].p), int(sm[i, j].q)) for j in range(sm.cols)] for i in range(sm.rows)],
+        cols=sm.cols,
+    )
+
+
+def primitive_columns(vectors, length: int) -> RatMatrix:
+    cols = [primitive(from_sympy(v).column(0)) for v in vectors]
+    return RatMatrix.from_columns(cols, rows=length)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(m=sparse_matrices())
+def test_sparse_elimination_agrees_with_sympy(m):
+    sm = to_sympy(m)
+    sym_rref, sym_pivots = sm.rref()
+    red, pivots, rank = m.rref()
+    assert red == from_sympy(sym_rref)
+    assert pivots == tuple(sym_pivots)
+    assert rank == sm.rank() == len(sym_pivots)
+    # sympy's nullspace vectors are 1 at a free column and minus the RREF at
+    # the pivots, the vectors kernel_basis rescales to primitive integers
+    assert m.kernel_basis() == primitive_columns(sm.nullspace(), m.cols)
+    assert m.left_kernel_basis() == primitive_columns(sm.T.nullspace(), m.rows).transpose()
+    rows = [primitive(from_sympy(sym_rref).row(i)) for i in range(rank)]
+    assert m.row_basis() == RatMatrix.from_rows(rows, cols=m.cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(a=sparse_matrices(max_dim=5), data=st.data())
+def test_sparse_products_agree_with_sympy(a, data):
+    b = data.draw(sparse_matrices(max_dim=5, rows=a.cols))
+    vec = data.draw(st.lists(ENTRY, min_size=a.cols, max_size=a.cols))
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert a.transpose() == from_sympy(sa.T)
+    assert a.transpose().transpose() == a
+    assert a @ b == from_sympy(sa * sb)
+    expected = sa * sympy.Matrix(a.cols, 1, [sympy.Rational(x) for x in vec])
+    assert a.mul_vec(vec) == tuple(Fraction(int(x.p), int(x.q)) for x in expected)
+    assert a.vstack(a).to_rows() == a.to_rows() + a.to_rows()
+    assert hash(a) == hash(RatMatrix.from_rows(a.to_rows(), cols=a.cols))
+
+
+def test_from_entries_drops_zeros_and_checks_indices():
+    m = RatMatrix.from_entries(2, 3, [{2: "1/2", 0: 0}, {}])
+    assert m == RatMatrix.from_rows([[0, 0, Fraction(1, 2)], [0, 0, 0]])
+    assert m.entries(0) == {2: Fraction(1, 2)}
+    with pytest.raises(ValueError):
+        RatMatrix.from_entries(1, 2, [{2: 1}])
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, [{0: 1}])
+
+
+# -- rank modulo p ---------------------------------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_rank_mod_p_equals_exact_rank_on_low_rank_products(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    inner = data.draw(st.integers(0, 4))
+    left = [[data.draw(ENTRY) for _ in range(inner)] for _ in range(rows)]
+    right = [[data.draw(ENTRY) for _ in range(cols)] for _ in range(inner)]
+    product = [[sum((a * b for a, b in zip(lrow, col)), 0) for col in zip(*right)] if right else [0] * cols
+               for lrow in left]
+    exact = to_sympy(RatMatrix.from_rows(product, cols=cols)).rank()
+    assert rank_mod_p(product) == exact <= inner
+
+
+def test_rank_mod_p_is_a_lower_bound_and_flags_bad_denominators():
+    p = MODULUS
+    assert rank_mod_p([[p, 0], [0, 1]]) == 1  # p vanishes modulo p; the rational rank is 2
+    assert RatMatrix.from_rows([[p, 0], [0, 1]]).rank() == 2
+    assert rank_mod_p([[Fraction(1, p), 1]]) is None
+    assert rank_mod_p([[Fraction(p + 1, 2 * p + 3)]]) == 1
+    assert rank_mod_p([]) == 0
