@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over the rationals.
 
-Two variable families are supported: kernel parameters ``u1, u2, ...``
-and scaling variables ``h1, h2, ...``.  Terms are kept in a dict keyed by
-exponent monomials; printing uses graded lexicographic order (u's before
-h's) so output is reproducible.
+Variables are numbered 0, 1, 2, ...; the numbering belongs to the caller
+(``nondegen`` numbers u1.. first, then h1..).  A monomial is the sorted
+tuple of its variables' indices, each repeated by its exponent, so
+x0^2 x3 is (0, 0, 3) and the constant monomial is ().  Terms are kept in
+a dict from monomials to nonzero coefficients, each the int or Fraction
+it was computed as.
 
 Also provides the exact symbolic determinant (Laplace expansion along the
 sparsest remaining row, every sub-minor computed once per call) and a
@@ -14,140 +16,37 @@ theorem), or over all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-_KIND_ORDER = {"u": 0, "h": 1}
-
-
-class MissingAssignment(KeyError):
-    """A variable of the polynomial has no value in the evaluation point."""
-
-    def __init__(self, var: "VarId"):
-        super().__init__(str(var))
-        self.var = var
-
-
-@dataclass(frozen=True)
-class VarId:
-    """Identifier of a symbolic variable: kind 'u' or 'h', 0-based index."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("negative variable index")
-
-    @classmethod
-    def u(cls, index: int) -> "VarId":
-        return cls("u", index)
-
-    @classmethod
-    def h(cls, index: int) -> "VarId":
-        return cls("h", index)
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.kind], self.index)
-
-    def __lt__(self, other: "VarId") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index + 1}"
-
-
-# A monomial: ((var, exponent), ...) sorted by variable, exponents > 0.
-Mono = tuple[tuple[VarId, int], ...]
-
-_EMPTY_MONO: Mono = ()
-
-
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[VarId, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda t: t[0].sort_key))
-
-
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
+# A monomial: variable indices in ascending order, each repeated by its exponent.
+Mono = tuple[int, ...]
 
 
 class MPoly:
-    """Polynomial in u/h variables with Fraction coefficients."""
+    """Polynomial in integer-indexed variables with int or Fraction coefficients."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        cleaned: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    cleaned[mono] = c
-        object.__setattr__(self, "_terms", cleaned)
+    def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
+        object.__setattr__(self, "_terms", {m: c for m, c in terms.items() if c} if terms else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
     @classmethod
     def const(cls, c: Scalar) -> "MPoly":
-        return cls({_EMPTY_MONO: Fraction(c)})
+        return cls({(): c})
 
     @classmethod
-    def var(cls, v: VarId, coeff: Scalar = 1) -> "MPoly":
-        return cls({((v, 1),): Fraction(coeff)})
-
-    # -- inspection --------------------------------------------------
+    def var(cls, index: int, coeff: Scalar = 1) -> "MPoly":
+        return cls({(index,): coeff})
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_constant(self) -> bool:
-        return all(m == _EMPTY_MONO for m in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self._terms.get(_EMPTY_MONO, Fraction(0))
-
-    def variables(self) -> tuple[VarId, ...]:
-        seen = {v for mono in self._terms for v, _ in mono}
-        return tuple(sorted(seen, key=lambda v: v.sort_key))
-
-    def terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in descending graded-lex order (canonical)."""
-        allvars = self.variables()
-        pos = {v: i for i, v in enumerate(allvars)}
-
-        def key(mono: Mono):
-            exps = [0] * len(allvars)
-            for v, e in mono:
-                exps[pos[v]] = e
-            return (_mono_degree(mono), tuple(exps))
-
-        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
@@ -159,6 +58,9 @@ class MPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
+
+    def __repr__(self) -> str:
+        return f"MPoly({self._terms!r})"
 
     # -- ring operations ----------------------------------------------
 
@@ -175,11 +77,7 @@ class MPoly:
             return NotImplemented
         merged = dict(self._terms)
         for mono, coeff in o._terms.items():
-            acc = merged.get(mono, Fraction(0)) + coeff
-            if acc:
-                merged[mono] = acc
-            else:
-                merged.pop(mono, None)
+            merged[mono] = merged.get(mono, 0) + coeff
         return MPoly(merged)
 
     __radd__ = __add__
@@ -193,74 +91,27 @@ class MPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> "MPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other) -> "MPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
-            return MPoly.zero()
-        prod: dict[Mono, Fraction] = {}
+        prod: dict[Mono, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = prod.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    prod[mono] = acc
-                else:
-                    prod.pop(mono, None)
+                mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                prod[mono] = prod.get(mono, 0) + c1 * c2
         return MPoly(prod)
 
     __rmul__ = __mul__
 
-    # -- evaluation ----------------------------------------------------
-
-    def eval(self, point: Mapping[VarId, Scalar]) -> Fraction:
-        """Exact value at the given assignment.
-
-        Raises MissingAssignment if some variable of the polynomial is
-        not assigned.
-        """
-        total = Fraction(0)
+    def eval(self, point: Sequence[Scalar]) -> Scalar:
+        """Exact value with variable i set to ``point[i]``."""
+        total = 0
         for mono, coeff in self._terms.items():
-            val = coeff
-            for v, e in mono:
-                if v not in point:
-                    raise MissingAssignment(v)
-                val *= Fraction(point[v]) ** e
-            total += val
+            for i in mono:
+                coeff *= point[i]
+            total += coeff
         return total
-
-    # -- printing --------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.terms():
-            factors = []
-            for v, e in mono:
-                factors.append(str(v) if e == 1 else f"{v}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MPoly({self})"
 
 
 def det(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
@@ -295,7 +146,7 @@ def _minor(
     nnz = [sum(1 for j in cols if matrix[i][j]) for i in rows]
     p = nnz.index(min(nnz))
     rest = rows[:p] + rows[p + 1 :]
-    acc = MPoly.zero()
+    acc = MPoly()
     for q, j in enumerate(cols):
         entry = matrix[rows[p]][j]
         if not entry:

@@ -13,11 +13,12 @@ Jacobian at an explicit point, come from one routine, ``jacobian``, which
 sums the nonzero products N[i,k] B[j,k] (collected once per network)
 against numbers or polynomials alike.  Each target rank is tested at
 random integer points, straight from the integer matrices: a sample's
-rank modulo the prime 2^61 - 1 proves a full target rank, and exact
-rational elimination decides every other sample.  Only if every sample
-falls short is the polynomial matrix built: the best sample has rank rho
-and a nonsingular rho x rho submatrix; its bordering (rho+1)-minors
-either all vanish, which proves the rank is rho everywhere (Kronecker's
+rank modulo the prime 2^61 - 1 never exceeds its exact rank, so reaching
+the target proves it, and exact rational elimination decides every other
+sample.  Only if every sample falls short is the polynomial matrix
+built, over the variables u_t (index t) and h_j (index u_dim + j): the
+best sample has rank rho and a nonsingular rho x rho submatrix; its
+bordering (rho+1)-minors either all vanish, which proves the rank is rho everywhere (Kronecker's
 theorem, a symbolic certificate), or one of them is a nonzero polynomial
 that drives the sampling to a point of higher rank, until the target is
 reached.  When the first matrix is rank deficient everywhere, so is the
@@ -34,17 +35,21 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
-from .mpoly import MinorWitness, MPoly, VarId, all_minors_zero, bordering_minors
+from .mpoly import MinorWitness, MPoly, all_minors_zero, bordering_minors
 from .netmodel import NetworkMatrices, ReactionNetwork
 from .ratmat import RatMatrix, rank_mod_p
 
 _ONE = Fraction(1)
+
+# samples per round when hunting a nonzero value of a known nonzero minor;
+# the sample bound doubles between rounds
+_PIT_BUDGET = 100
 
 
 class DimensionMismatch(ValueError):
@@ -63,16 +68,14 @@ class SamplerConfig:
     retries: samples drawn before falling back to the bordering-minor loop.
     sample_bound: H; components are drawn from [-H, H] (u, zero excluded)
         or [1, H] (h).
-    pit_budget: samples per round when hunting a nonzero value of a known
-        nonzero minor; H doubles between rounds.
     hard_cap: optional absolute cap on minor-hunt samples (off by default;
-        the hunt cannot stall for a nonzero polynomial with unbounded H).
+        the hunt draws rounds of ``_PIT_BUDGET`` samples and doubles H
+        between rounds, so it cannot stall for a nonzero polynomial).
     """
 
     seed: int = 0
     retries: int = 5
     sample_bound: int = 65536
-    pit_budget: int = 100
     hard_cap: Optional[int] = None
 
     def __post_init__(self):
@@ -80,8 +83,6 @@ class SamplerConfig:
             raise ValueError("retries must be >= 1")
         if self.sample_bound < 2:
             raise ValueError("sample_bound must be >= 2")
-        if self.pit_budget < 1:
-            raise ValueError("pit_budget must be >= 1")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -190,9 +191,13 @@ def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
 
 
 def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int]) -> list[list[MPoly]]:
-    """The matrix at the variables u1.. (and h1..), every entry an MPoly."""
-    u = [MPoly.var(VarId.u(t)) for t in range(u_dim)]
-    h = None if h_dim is None else [MPoly.var(VarId.h(j)) for j in range(h_dim)]
+    """The matrix at the variables u1.. (and h1..), every entry an MPoly.
+
+    u_t is variable t and h_j is variable u_dim + j, so a polynomial entry
+    evaluates at the concatenated sample ``u_vals + h_vals``.
+    """
+    u = [MPoly.var(t) for t in range(u_dim)]
+    h = None if h_dim is None else [MPoly.var(u_dim + j) for j in range(h_dim)]
     return [[x if isinstance(x, MPoly) else MPoly.const(x) for x in row] for row in matrix(u, h)]
 
 
@@ -267,10 +272,9 @@ def generic_rank_test(
     *,
     u_dim: int,
     h_dim: Optional[int] = None,
-    g: Optional[RatMatrix] = None,
     rng: Optional[random.Random] = None,
 ) -> GenericRankVerdict:
-    """Decide whether the matrix ``matrix(u, h)`` attains ``target`` rank somewhere.
+    """Decide whether the matrix ``matrix(u, h)`` has rank >= ``target`` somewhere.
 
     ``matrix`` maps u (length ``u_dim``) and h (length ``h_dim``, or None)
     to a list of rows, for numbers and for MPolys alike: a sample is the
@@ -278,27 +282,30 @@ def generic_rank_test(
     function at the variables u1.., h1...
 
     Up to ``cfg.retries`` samples first.  A sample is ranked modulo the
-    prime ``ratmat.MODULUS`` first: when the target is the full rank
-    min(rows, cols) and the rank mod p reaches it, the exact rank is
-    proven without rational arithmetic.  Every other sample is
-    row-reduced once over Q, and the exact ranks alone choose the best
-    sample, the pivots and the certificate.  If all
-    fall short, the polynomial matrix is built, and the highest-rank
-    sample (rank rho, the first of equals) gives a nonsingular rho x rho
-    submatrix (R, C), its pivot columns and the pivot rows of those;
-    only the minors bordering it are computed symbolically:
+    prime ``ratmat.MODULUS`` first: that rank never exceeds the exact
+    rank, so when it reaches ``target`` the sample is a proven witness
+    without rational arithmetic.  Every other sample is row-reduced once
+    over Q, and the exact ranks alone choose the best sample, the pivots
+    and the certificate.  If all fall short, the polynomial matrix is
+    built, and the highest-rank sample (rank rho, the first of equals)
+    gives a nonsingular rho x rho submatrix (R, C), its pivot columns and
+    the pivot rows of those; only the minors bordering it are computed
+    symbolically:
 
       * all zero: the rank is rho over Q(u, h), so AllDegenerate, with a
         certificate naming (R, C), the sample and every bordering minor;
       * one nonzero: it is sampled until it evaluates nonzero (doubling
-        the sample bound whenever a round of ``cfg.pit_budget`` samples
-        is exhausted).  If it is target-sized that point is the witness;
-        otherwise the rank there exceeds rho and the loop repeats from it.
+        the sample bound whenever a round of ``_PIT_BUDGET`` samples is
+        exhausted).  The rank there exceeds rho; if it reaches the target
+        that point is the witness, otherwise the loop repeats from it.
 
     A witness is a point at which the exact rank of the evaluated matrix
-    equals ``target``.  A target outside [0, min(rows, cols)] raises
-    ValueError once the samples have shown the matrix's shape.
+    is at least ``target``; ``witness_w`` is left None.  A negative
+    target raises ValueError, and so does one above min(rows, cols) once
+    the samples have shown the matrix's shape.
     """
+    if target < 0:
+        raise ValueError(f"negative target rank {target}")
     cfg = cfg or SamplerConfig()
     rng = rng or random.Random(cfg.seed)
 
@@ -308,7 +315,7 @@ def generic_rank_test(
             status=RankTestStatus.NONDEGENERATE_EXISTS,
             witness_u=tuple(Fraction(x) for x in u_vals),
             witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
-            witness_w=tuple(g.mul_vec(u_vals)) if g is not None else None,
+            witness_w=None,
             certificate=None,
             samples_tried=samples,
         )
@@ -317,12 +324,11 @@ def generic_rank_test(
         """(rank, pivot columns, evaluated matrix) at a sample; only the rank,
         ``target``, when the rank mod p proves it."""
         rows = matrix(u_vals, h_vals)
-        ncols = len(rows[0]) if rows else 0
         # the rank mod p never exceeds the rational rank, so reaching the
-        # full rank proves it; short of it, or below full, it decides nothing
-        if target == min(len(rows), ncols) and rank_mod_p(rows) == target:
+        # target proves it; short of it, it decides nothing
+        if rank_mod_p(rows) >= target:
             return target, None, None
-        evaluated = RatMatrix.from_rows(rows, cols=ncols)
+        evaluated = RatMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
         _, cols, rank = evaluated.rref()
         return rank, cols, evaluated
 
@@ -333,7 +339,7 @@ def generic_rank_test(
         """Sample until the minor is nonzero: a point of rank >= its size."""
         nonlocal bound, samples, hunted
         while True:
-            for _ in range(cfg.pit_budget):
+            for _ in range(_PIT_BUDGET):
                 if cfg.hard_cap is not None and hunted >= cfg.hard_cap:
                     raise BudgetExhausted(
                         f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
@@ -342,9 +348,7 @@ def generic_rank_test(
                 u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
                 samples += 1
                 hunted += 1
-                point = {VarId.u(t): x for t, x in enumerate(u_vals)}
-                point.update({VarId.h(j): x for j, x in enumerate(h_vals or ())})
-                if witness.poly.eval(point):
+                if witness.poly.eval(u_vals + (h_vals or ())):
                     return u_vals, h_vals
             bound *= 2
 
@@ -353,14 +357,14 @@ def generic_rank_test(
         u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
         rank, cols, evaluated = evaluate(u_vals, h_vals)
-        if rank == target:
+        if rank >= target:
             return verdict_for(u_vals, h_vals, samples)
         if best is None or rank > best[0]:
             best = (rank, cols, evaluated, u_vals, h_vals)
 
     rank, cols, evaluated, u_vals, h_vals = best
-    # no sample reaches an out-of-range target, so checking here covers it
-    if not 0 <= target <= min(evaluated.rows, evaluated.cols):
+    # no sample reaches a target above the matrix's size, so checking here covers it
+    if target > min(evaluated.rows, evaluated.cols):
         raise ValueError(f"target rank {target} out of range for {evaluated.rows}x{evaluated.cols}")
     symbolic = _symbolic(matrix, u_dim, h_dim)
     while True:
@@ -381,7 +385,7 @@ def generic_rank_test(
 
         u_vals, h_vals = hunt(witness)
         rank, cols, evaluated = evaluate(u_vals, h_vals)
-        if rank == target:
+        if rank >= target:
             return verdict_for(u_vals, h_vals, samples)
 
 
@@ -412,13 +416,6 @@ def _monomials(mats: NetworkMatrices, x: tuple[Fraction, ...]) -> tuple[Fraction
             acc *= x[j] ** int(e)
         vals.append(acc)
     return tuple(vals)
-
-
-def evaluate_f(mats: NetworkMatrices, kappa, x) -> tuple[Fraction, ...]:
-    """Exact value of N (kappa ∘ x^B); length s."""
-    kv, xv = _validate_point(mats, kappa, x)
-    scaled = [k * m for k, m in zip(kv, _monomials(mats, xv))]
-    return mats.n_mat.mul_vec(scaled)
 
 
 def check_steady_state(mats: NetworkMatrices, kappa, x) -> SteadyStateCheck:
@@ -468,30 +465,26 @@ def analyze_matrices(
     of the F matrix has the f matrix's rank and W adds at most d, so
     rank F <= rank f + d < s + d = n.  Its verdict cites the f certificate
     and reports 0 samples.
+
+    A nondegenerate verdict's ``witness_w`` is G u at its integer witness u.
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
     g = mats.g
     u_dim = mats.r - mats.s
+    combine = _kernel_combination(mats, g)
 
-    f_verdict = generic_rank_test(
-        f_test_matrix(mats, g),
-        mats.s,
-        cfg,
-        u_dim=u_dim,
-        g=g,
-        rng=random.Random(derive_seed(cfg.seed, "f-test")),
-    )
+    def rank_test(matrix: MatrixFn, target: int, label: str, h_dim=None) -> GenericRankVerdict:
+        rng = random.Random(derive_seed(cfg.seed, label))
+        verdict = generic_rank_test(matrix, target, cfg, u_dim=u_dim, h_dim=h_dim, rng=rng)
+        if not verdict.nondegenerate:
+            return verdict
+        w = combine([int(x) for x in verdict.witness_u])
+        return replace(verdict, witness_w=tuple(Fraction(x) for x in w))
+
+    f_verdict = rank_test(f_test_matrix(mats, g), mats.s, "f-test")
     if f_verdict.nondegenerate:
-        F_verdict = generic_rank_test(
-            F_test_matrix(mats, g),
-            mats.n,
-            cfg,
-            u_dim=u_dim,
-            h_dim=mats.n,
-            g=g,
-            rng=random.Random(derive_seed(cfg.seed, "F-test")),
-        )
+        F_verdict = rank_test(F_test_matrix(mats, g), mats.n, "F-test", mats.n)
     else:
         F_verdict = GenericRankVerdict(
             target_rank=mats.n,

@@ -10,8 +10,8 @@ keeps its RREF once computed, so the row basis and the kernel basis of
 one matrix cost one elimination.
 
 ``rank_mod_p`` ranks a matrix of ints and Fractions modulo the prime
-``MODULUS``; that rank never exceeds the rational rank, so a full rank
-modulo p proves full rank over Q.
+``MODULUS``; that rank never exceeds the rational rank, so a rank of
+at least k modulo p proves a rank of at least k over Q.
 
 Basis vectors are rescaled to primitive integer vectors to keep
 downstream coefficients small.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -330,26 +330,19 @@ def add_multiple(target: dict, f, source: dict) -> None:
             del target[j]
 
 
-def rank_mod_p(rows: Sequence[Sequence]) -> Optional[int]:
+def rank_mod_p(rows: Sequence[Sequence]) -> int:
     """Rank modulo ``MODULUS`` of a matrix of ints and Fractions.
 
-    None when a denominator is divisible by the modulus.  Eliminates
-    forward only, on sparse rows, pivoting on the sparsest row.
+    Each row is first scaled by the lcm of its denominators, which keeps
+    the rank.  Eliminates forward only, on sparse rows, pivoting on the
+    sparsest row.
     """
     p = MODULUS
     work = []
     for row in rows:
-        d = {}
-        for j, x in enumerate(row):
-            if x:
-                if x.__class__ is not int:
-                    den = x.denominator % p
-                    if not den:
-                        return None
-                    x = x.numerator * pow(den, -1, p)
-                x %= p
-                if x:
-                    d[j] = x
+        nonzeros = [(j, x) for j, x in enumerate(row) if x]
+        mult = lcm(*(x.denominator for _, x in nonzeros if x.__class__ is not int))
+        d = {j: y for j, x in nonzeros if (y := int(x * mult) % p)}
         if d:
             work.append(d)
     rank = 0

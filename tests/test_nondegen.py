@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steadydim.cone import ConeStatus
-from steadydim.mpoly import MPoly, VarId, all_minors_zero
+from steadydim.mpoly import MPoly, all_minors_zero
 from steadydim.netmodel import NetworkMatrices, parse_network
 from steadydim.nondegen import (
     AnalysisReport,
@@ -24,7 +24,6 @@ from steadydim.nondegen import (
     analyze_matrices,
     check_steady_state,
     derive_seed,
-    evaluate_f,
     f_test_matrix,
     generic_rank_test,
     symbolic_jacobian_F,
@@ -42,7 +41,7 @@ EXAMPLE46 = parse_network(fixture_path("example46.crn").read_text())
 
 
 def u(i, c=1):
-    return MPoly.var(VarId.u(i), c)
+    return MPoly.var(i, c)
 
 
 class ScriptedRng:
@@ -109,8 +108,8 @@ def test_symbolic_jacobian_F_blocks():
     top = symbolic_jacobian_f(mats, g)
     full = symbolic_jacobian_F(mats, g)
     assert len(full) == 4 and all(len(row) == 4 for row in full)
-    point = {VarId.u(t): Fraction(1) for t in range(3)}
-    point.update({VarId.h(j): Fraction(j + 2) for j in range(4)})
+    # u1..u3 are variables 0..2, h1..h4 are 3..6
+    point = [1] * 3 + [j + 2 for j in range(4)]
     for i in range(mats.s):
         for j in range(mats.n):
             assert full[i][j].eval(point) == top[i][j].eval(point) * (j + 2)
@@ -129,8 +128,7 @@ def test_symbolic_jacobian_F_specialization_has_full_rank():
     ).rref()
     u0 = [aug.at(i, g.cols) for i in range(g.cols)]
     assert g.mul_vec(u0) == (1, 1, 1, 2, 1, 1)
-    point = {VarId.u(t): u0[t] for t in range(g.cols)}
-    point.update({VarId.h(j): Fraction(1) for j in range(4)})
+    point = u0 + [1] * 4
     full = symbolic_jacobian_F(mats, g)
     evaluated = RatMatrix.from_rows([[p.eval(point) for p in row] for row in full])
     assert evaluated.rank() == 4
@@ -177,8 +175,7 @@ def test_sampled_matrices_equal_polynomial_matrices_at_the_sample(mats, data):
     g = mats.n_mat.kernel_basis()
     u_vals = data.draw(st.lists(st.integers(-50, 50), min_size=g.cols, max_size=g.cols))
     h_vals = data.draw(st.lists(st.integers(1, 50), min_size=mats.n, max_size=mats.n))
-    point = {VarId.u(t): x for t, x in enumerate(u_vals)}
-    point.update({VarId.h(j): x for j, x in enumerate(h_vals)})
+    point = u_vals + h_vals
     for sampled, symbolic in (
         (f_test_matrix(mats, g)(u_vals, None), symbolic_jacobian_f(mats, g)),
         (F_test_matrix(mats, g)(u_vals, h_vals), symbolic_jacobian_F(mats, g)),
@@ -218,12 +215,20 @@ def test_generic_rank_quadratic_network():
     mats = NetworkMatrices.from_network(EXAMPLE46)
     g = mats.n_mat.kernel_basis()
     verdict = generic_rank_test(
-        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=3), u_dim=2, g=g
+        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=3), u_dim=2
     )
     assert verdict.nondegenerate
     assert len(verdict.witness_u) == 2
-    assert verdict.witness_w == tuple(g.mul_vec(verdict.witness_u))
-    assert verdict.witness_h is None
+    assert verdict.witness_w is None and verdict.witness_h is None
+
+
+def test_analyze_fills_in_the_witness_w():
+    mats = NetworkMatrices.from_network(CALCIUM)
+    report = analyze_matrices(mats, SamplerConfig(seed=3))
+    for verdict in (report.f_verdict, report.F_verdict):
+        assert verdict.nondegenerate
+        assert verdict.witness_w == tuple(mats.g.mul_vec(verdict.witness_u))
+        assert all(type(x) is Fraction for x in verdict.witness_w)
 
 
 def test_generic_rank_samples_build_no_polynomials(monkeypatch):
@@ -246,7 +251,7 @@ def test_generic_rank_all_degenerate_with_certificate():
     mats = NetworkMatrices.from_network(EXAMPLE42)
     g = mats.n_mat.kernel_basis()
     verdict = generic_rank_test(
-        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=4), u_dim=1, g=g
+        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=4), u_dim=1
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.witness_u is None
@@ -305,7 +310,7 @@ def test_generic_rank_bordering_grows_then_certifies():
 def test_generic_rank_budget_exhausted():
     matrix = lambda u, h: [[u[0] + u[1]]]
     rng = ScriptedRng([1, -1])
-    cfg = SamplerConfig(seed=0, retries=1, pit_budget=5, hard_cap=7)
+    cfg = SamplerConfig(seed=0, retries=1, hard_cap=7)
     with pytest.raises(BudgetExhausted):
         generic_rank_test(matrix, 1, cfg, u_dim=2, rng=rng)
 
@@ -313,6 +318,17 @@ def test_generic_rank_budget_exhausted():
 def test_generic_rank_target_out_of_range():
     with pytest.raises(ValueError):
         generic_rank_test(lambda u, h: [[u[0]]], 2, SamplerConfig(), u_dim=1)
+    with pytest.raises(ValueError):
+        generic_rank_test(lambda u, h: [[u[0]]], -1, SamplerConfig(), u_dim=1)
+
+
+def test_generic_rank_target_below_the_generic_rank():
+    # a witness needs rank >= target, not equal: the first sample decides
+    verdict = generic_rank_test(lambda u, h: [[u[0]]], 0, SamplerConfig(seed=1), u_dim=1)
+    assert verdict.nondegenerate and verdict.samples_tried == 1
+    matrix = lambda u, h: [[u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
+    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=1), u_dim=2)
+    assert verdict.nondegenerate and verdict.samples_tried == 1
 
 
 # -- the modular shortcut ------------------------------------------------------
@@ -331,8 +347,8 @@ def _exact_rank(rows) -> int:
 @given(data=st.data())
 def test_modular_shortcut_never_returns_a_wrong_witness(data):
     # left diag(u) right with scaled rows: generic rank at most ``inner``; a
-    # row times p vanishes modulo p and a 1/p has no residue, so both need the
-    # exact path; targets below min(rows, cols) may not take the shortcut at all
+    # row times p vanishes modulo p, so the rank mod p can fall short of the
+    # exact rank and leave the sample to the exact path
     rows, cols, inner = (data.draw(st.integers(1, 4)) for _ in range(3))
     left = [[data.draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(rows)]
     right = [[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(inner)]
@@ -348,20 +364,12 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
 
     cfg = SamplerConfig(seed=data.draw(st.integers(0, 99)), retries=2)
 
-    def outcome():
-        # a target below the generic rank can make the bordering minors
-        # outgrow the matrix; that ValueError is part of the outcome
-        try:
-            return generic_rank_test(matrix, target, cfg, u_dim=inner)
-        except ValueError as exc:
-            return str(exc)
-
-    verdict = outcome()
-    if not isinstance(verdict, str) and verdict.nondegenerate:
-        assert _exact_rank(matrix(verdict.witness_u, None)) == target
+    verdict = generic_rank_test(matrix, target, cfg, u_dim=inner)
+    if verdict.nondegenerate:
+        assert _exact_rank(matrix(verdict.witness_u, None)) >= target
     # the same samples with every rank computed over Q give the same outcome
-    with mock.patch.object(nondegen, "rank_mod_p", lambda rows: None):
-        assert outcome() == verdict
+    with mock.patch.object(nondegen, "rank_mod_p", lambda rows: -1):
+        assert generic_rank_test(matrix, target, cfg, u_dim=inner) == verdict
 
 
 def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
@@ -373,11 +381,13 @@ def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
 
 
 def test_modular_shortcut_needs_the_full_rank_target():
-    # rank 2 everywhere, rank 1 modulo p: a target of 1 is not proven by the
-    # rank mod p, and no sample has exact rank 1
+    # rank 2 everywhere, rank 1 modulo p: the rank mod p proves a target of 1
+    # but not of 2, and either way the witness's exact rank is 2
     matrix = lambda u, h: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
-    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=2), u_dim=2)
-    assert verdict.status is RankTestStatus.ALL_DEGENERATE
+    for target in (1, 2):
+        verdict = generic_rank_test(matrix, target, SamplerConfig(seed=2), u_dim=2)
+        assert verdict.nondegenerate and verdict.samples_tried == 1
+        assert _exact_rank(matrix(verdict.witness_u, None)) == 2 >= target
 
 
 def test_generic_rank_scaling_invariance():
@@ -405,7 +415,7 @@ def test_generic_rank_scaling_invariance():
 
 def test_evaluate_f_quadratic_at_unit_point():
     mats = NetworkMatrices.from_network(EXAMPLE46)
-    assert evaluate_f(mats, (1, 1, 1), (1, 1)) == (0,)
+    assert check_steady_state(mats, (1, 1, 1), (1, 1)).residual_zero
 
 
 def test_evaluate_f_cone_witness_gives_all_ones_steady_state():
@@ -415,18 +425,17 @@ def test_evaluate_f_cone_witness_gives_all_ones_steady_state():
 
         res = positive_kernel_vector(mats.n_mat)
         assert res.exists
-        value = evaluate_f(mats, res.witness, (1,) * mats.n)
-        assert not any(value)
+        assert check_steady_state(mats, res.witness, (1,) * mats.n).residual_zero
 
 
 def test_evaluate_f_domain_errors():
     mats = NetworkMatrices.from_network(EXAMPLE46)
     with pytest.raises(DimensionMismatch):
-        evaluate_f(mats, (1, 1), (1, 1))
+        check_steady_state(mats, (1, 1), (1, 1))
     with pytest.raises(DimensionMismatch):
-        evaluate_f(mats, (1, 1, 1), (1, 0))
+        check_steady_state(mats, (1, 1, 1), (1, 0))
     with pytest.raises(DimensionMismatch):
-        evaluate_f(mats, (1, -1, 1), (1, 1))
+        check_steady_state(mats, (1, -1, 1), (1, 1))
 
 
 def test_evaluate_f_negative_exponents():
@@ -435,7 +444,8 @@ def test_evaluate_f_negative_exponents():
     w = RatMatrix.from_rows([[0, 1]])
     mats = NetworkMatrices.from_matrices(n_mat, b, w)
     # f = k1 x1 - k2 x1^{-1} x2 at x = (2, 3): 2 k1 - 3/2 k2
-    assert evaluate_f(mats, (1, 1), (2, 3)) == (Fraction(1, 2),)
+    assert check_steady_state(mats, (3, 4), (2, 3)).residual_zero
+    assert not check_steady_state(mats, (1, 1), (2, 3)).residual_zero
 
 
 def test_check_steady_state_degenerate_double_root():
@@ -564,22 +574,12 @@ def test_derive_seed_stable():
     assert derive_seed(42, "f-test") != derive_seed(43, "f-test")
 
 
-def _sympy_generic_rank(matrix) -> int:
+def _sympy_generic_rank(matrix, nvars: int) -> int:
     """Oracle: rank over the rational function field via sympy symbols."""
-    import sympy
-
-    def to_sympy(p: MPoly):
-        expr = sympy.Integer(0)
-        for mono, coeff in p.terms():
-            term = sympy.Rational(coeff.numerator, coeff.denominator)
-            for var, e in mono:
-                term *= sympy.Symbol(str(var)) ** e
-            expr += term
-        return expr
-
     if not matrix:
         return 0
-    return sympy.Matrix([[to_sympy(p) for p in row] for row in matrix]).rank()
+    point = sympy.symbols(f"x0:{nvars}")
+    return sympy.Matrix([[sympy.sympify(p.eval(point)) for p in row] for row in matrix]).rank()
 
 
 def test_generic_rank_matches_sympy_symbolic_rank():
@@ -595,8 +595,8 @@ def test_generic_rank_matches_sympy_symbolic_rank():
         cfg = SamplerConfig(seed=rng.randint(0, 2**32))
         vf = generic_rank_test(f_test_matrix(mats, g), mats.s, cfg, u_dim=g.cols)
         vF = generic_rank_test(F_test_matrix(mats, g), mats.n, cfg, u_dim=g.cols, h_dim=mats.n)
-        assert vf.nondegenerate == (_sympy_generic_rank(jac_f) == mats.s)
-        assert vF.nondegenerate == (_sympy_generic_rank(jac_F) == mats.n)
+        assert vf.nondegenerate == (_sympy_generic_rank(jac_f, g.cols) == mats.s)
+        assert vF.nondegenerate == (_sympy_generic_rank(jac_F, g.cols + mats.n) == mats.n)
 
 
 def test_analyze_verdict_implication_random():

@@ -312,6 +312,9 @@ def test_rank_mod_p_is_a_lower_bound_and_flags_bad_denominators():
     p = MODULUS
     assert rank_mod_p([[p, 0], [0, 1]]) == 1  # p vanishes modulo p; the rational rank is 2
     assert RatMatrix.from_rows([[p, 0], [0, 1]]).rank() == 2
-    assert rank_mod_p([[Fraction(1, p), 1]]) is None
+    # rows are scaled by the lcm of their denominators first: [1, p] here
+    assert rank_mod_p([[Fraction(1, p), 1]]) == 1
+    assert rank_mod_p([[Fraction(1, p), 1], [Fraction(1, p), 0]]) == 1
+    assert RatMatrix.from_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]]).rank() == 2
     assert rank_mod_p([[Fraction(p + 1, 2 * p + 3)]]) == 1
     assert rank_mod_p([]) == 0
