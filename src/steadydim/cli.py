@@ -7,12 +7,12 @@ Subcommands:
   matrices PATH     print the gamma/b/n_mat/w_mat quadruple
   check-point PATH  residual and degeneracy of an explicit (kappa, x)
 
-Exit codes: 0 success (whatever the verdict), 1 parse/usage error (or,
-in directory mode, any file that could not be analyzed), 2 internal
-error.  ``--seed`` falls back to the STEADYDIM_SEED environment
-variable, then 0; with a fixed seed the JSON output is byte-identical
-across runs.  Rationals are serialized as strings "p/q" to avoid any
-precision loss.
+Exit codes: 0 success (whatever the verdict), 1 parse/usage error or
+unreadable input (or, in directory mode, any file that could not be
+analyzed), 2 internal error.  ``--seed`` falls back to the
+STEADYDIM_SEED environment variable, then 0; with a fixed seed the JSON
+output is byte-identical across runs.  Rationals are serialized as
+strings "p/q" to avoid any precision loss.
 """
 
 from __future__ import annotations
@@ -296,7 +296,11 @@ def _config_from_args(args, seed: int) -> SamplerConfig:
 
 
 def _read_network(path: Path) -> ReactionNetwork:
-    return parse_network(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_network(text)
 
 
 def cmd_analyze(args) -> int:
@@ -328,7 +332,7 @@ def _analyze_batch(directory: Path, cfg: SamplerConfig) -> int:
         try:
             report = analyze(_read_network(path), replace(cfg, seed=derive_seed(cfg.seed, path.name)))
             record.update(report_to_dict(report))
-        except (ParseError, OSError) as exc:
+        except (ParseError, UsageError, OSError) as exc:
             record["error"] = str(exc)
             failed = True
         except Exception as exc:  # noqa: BLE001 - one file must not stop the batch
@@ -422,7 +426,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UsageError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code 2

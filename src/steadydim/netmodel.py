@@ -307,7 +307,8 @@ class NetworkMatrices:
         """r x (r - s) kernel basis G of N, one primitive integer column each.
 
         ker N = ker gamma and RREF(N) = RREF(gamma), so G comes from the
-        elimination that gave ``n_mat`` (the matrix keeps its RREF).
+        one elimination of gamma that gave ``n_mat`` and ``w_mat`` (the
+        matrix keeps it).
         """
         return self.gamma.kernel_basis()
 

@@ -18,11 +18,11 @@ the target proves it, and exact rational elimination decides every other
 sample.  Only if every sample falls short is the polynomial matrix
 built, over the variables u_t (index t) and h_j (index u_dim + j): the
 best sample has rank rho and a nonsingular rho x rho submatrix; its
-bordering (rho+1)-minors either all vanish, which proves the rank is rho everywhere (Kronecker's
-theorem, a symbolic certificate), or one of them is a nonzero polynomial
-that drives the sampling to a point of higher rank, until the target is
-reached.  When the first matrix is rank deficient everywhere, so is the
-second, and its test is skipped.
+bordering (rho+1)-minors either all vanish, which proves the rank is rho
+everywhere (Kronecker's theorem, a symbolic certificate), or one of them
+is a nonzero polynomial that drives the sampling to a point of higher
+rank, until the target is reached.  When the first matrix is rank
+deficient everywhere, so is the second, and its test is skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
@@ -226,20 +226,6 @@ def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[in
     return tuple(u_vals), h_vals
 
 
-def _nonsingular_submatrix(
-    evaluated: RatMatrix, cols: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(rows, cols) of a square submatrix of full rank rank(evaluated).
-
-    ``cols`` are the pivot columns of the matrix; rows are the pivot rows
-    of those columns.
-    """
-    columns = evaluated.transpose()
-    picked = RatMatrix(len(cols), evaluated.rows, [columns.entries(j) for j in cols])
-    _, rows, _ = picked.rref()
-    return rows, cols
-
-
 def _indices(idx: Sequence[int]) -> str:
     return "(" + ",".join(str(i) for i in idx) + ")"
 
@@ -285,12 +271,13 @@ def generic_rank_test(
     prime ``ratmat.MODULUS`` first: that rank never exceeds the exact
     rank, so when it reaches ``target`` the sample is a proven witness
     without rational arithmetic.  Every other sample is row-reduced once
-    over Q, and the exact ranks alone choose the best sample, the pivots
+    over Q, and the exact ranks alone choose the best sample, the basis
     and the certificate.  If all fall short, the polynomial matrix is
     built, and the highest-rank sample (rank rho, the first of equals)
-    gives a nonsingular rho x rho submatrix (R, C), its pivot columns and
-    the pivot rows of those; only the minors bordering it are computed
-    symbolically:
+    gives a nonsingular rho x rho submatrix (R, C) from that same
+    reduction: R its row-rank profile (each row independent of the rows
+    before it) and C its pivot columns.  Only the minors bordering (R, C)
+    are computed symbolically:
 
       * all zero: the rank is rho over Q(u, h), so AllDegenerate, with a
         certificate naming (R, C), the sample and every bordering minor;
@@ -321,16 +308,15 @@ def generic_rank_test(
         )
 
     def evaluate(u_vals, h_vals):
-        """(rank, pivot columns, evaluated matrix) at a sample; only the rank,
-        ``target``, when the rank mod p proves it."""
+        """(rank, evaluated matrix) at a sample; only the rank, ``target``,
+        when the rank mod p proves it."""
         rows = matrix(u_vals, h_vals)
         # the rank mod p never exceeds the rational rank, so reaching the
         # target proves it; short of it, it decides nothing
         if rank_mod_p(rows) >= target:
-            return target, None, None
+            return target, None
         evaluated = RatMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
-        _, cols, rank = evaluated.rref()
-        return rank, cols, evaluated
+        return evaluated.rank(), evaluated
 
     bound = cfg.sample_bound
     samples = hunted = 0
@@ -352,23 +338,25 @@ def generic_rank_test(
                     return u_vals, h_vals
             bound *= 2
 
-    best = None  # (rank, pivot columns, evaluated matrix, u_vals, h_vals) of the best sample
+    best = None  # (rank, evaluated matrix, u_vals, h_vals) of the best sample
     for _ in range(cfg.retries):
         u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
-        rank, cols, evaluated = evaluate(u_vals, h_vals)
+        rank, evaluated = evaluate(u_vals, h_vals)
         if rank >= target:
             return verdict_for(u_vals, h_vals, samples)
         if best is None or rank > best[0]:
-            best = (rank, cols, evaluated, u_vals, h_vals)
+            best = (rank, evaluated, u_vals, h_vals)
 
-    rank, cols, evaluated, u_vals, h_vals = best
+    rank, evaluated, u_vals, h_vals = best
     # no sample reaches a target above the matrix's size, so checking here covers it
     if target > min(evaluated.rows, evaluated.cols):
         raise ValueError(f"target rank {target} out of range for {evaluated.rows}x{evaluated.cols}")
     symbolic = _symbolic(matrix, u_dim, h_dim)
     while True:
-        basis = _nonsingular_submatrix(evaluated, cols)
+        # the sample's row-rank profile and pivot columns: a nonsingular
+        # rank x rank submatrix, from the elimination that ranked the sample
+        basis = (evaluated.row_profile(), evaluated.rref()[1])
         vanish, witness = all_minors_zero(symbolic, rank + 1, basis=basis)
         if vanish:
             return GenericRankVerdict(
@@ -384,7 +372,7 @@ def generic_rank_test(
             )
 
         u_vals, h_vals = hunt(witness)
-        rank, cols, evaluated = evaluate(u_vals, h_vals)
+        rank, evaluated = evaluate(u_vals, h_vals)
         if rank >= target:
             return verdict_for(u_vals, h_vals, samples)
 

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, on sparse rows.
 
 A ``RatMatrix`` stores only its nonzero entries: one dict
-``{column: Fraction}`` per row.  Reduced row echelon form, rank, and
-right/left kernel and row-space bases all eliminate on those dicts, so
-the work follows the nonzeros rather than the shape (a stoichiometric
-matrix has a few nonzeros per column).  Matrices are immutable after
-construction, so values can be shared freely across threads; each one
-keeps its RREF once computed, so the row basis and the kernel basis of
-one matrix cost one elimination.
+``{column: Fraction}`` per row.  One elimination reduces the rows in
+order on those dicts, so the work follows the nonzeros rather than the
+shape (a stoichiometric matrix has a few nonzeros per column).  It
+gives the reduced row echelon form, the rank, the row-rank profile and
+the left kernel at once, and the right kernel and row-space bases are
+read off the RREF.  Matrices are immutable after construction, so
+values can be shared freely across threads; each one keeps its
+elimination once computed, so all of these cost one elimination.
 
 ``rank_mod_p`` ranks a matrix of ints and Fractions modulo the prime
 ``MODULUS``; that rank never exceeds the rational rank, so a rank of
@@ -72,7 +73,7 @@ class RatMatrix:
     ascending order; every constructor and operation keeps that order.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_rref")
+    __slots__ = ("rows", "cols", "_entries", "_elim")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[dict[int, Fraction]]):
         """Take ``entries`` as is: one dict per row, as the class stores it.
@@ -84,7 +85,7 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", tuple(entries))
-        object.__setattr__(self, "_rref", None)
+        object.__setattr__(self, "_elim", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -199,50 +200,71 @@ class RatMatrix:
 
     # -- elimination -------------------------------------------------
 
-    def rref(self) -> tuple["RatMatrix", tuple[int, ...], int]:
-        """Reduced row echelon form.
+    def _eliminate(self) -> tuple:
+        """The one rational elimination, which every elimination method reads.
 
-        Returns ``(R, pivot_columns, rank)``.  Column by column, the pivot
-        is the sparsest remaining row with a nonzero there (the lowest
-        index among equals), and only rows with a nonzero in the pivot
-        column are updated, only where the pivot row is nonzero.  The
-        RREF is unique, so the pivot choice only controls the work and
-        the intermediate entry sizes.  The result is computed once per
-        matrix.
+        Returns ``(RREF, pivot columns, rank, row-rank profile, multiples)``.
+        Each row is reduced, in order, against the independent rows before
+        it (the profile), recording the multiple of each reduced profile
+        row it subtracts.  Back-substitution, from the latest profile row
+        to the first, scales each to 1 at its lead (first nonzero column)
+        and clears it at the later rows' leads: those are the RREF rows.
         """
-        if self._rref is None:
-            object.__setattr__(self, "_rref", self._eliminate())
-        return self._rref
+        # per profile row: (original row index, reduced row, {earlier profile row: multiple})
+        profile: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+        lead_of: dict[int, int] = {}  # lead of a reduced profile row -> its position
+        dependent: list[tuple[int, dict[int, Fraction]]] = []  # (row, multiples) of each zero row
+        for i, row in enumerate(self._entries):
+            vec = dict(row)
+            mult: dict[int, Fraction] = {}
+            while (lead := min((j for j in vec if j in lead_of), default=None)) is not None:
+                k = lead_of[lead]
+                reduced = profile[k][1]
+                f = vec[lead] / reduced[lead]
+                mult[k] = f
+                add_multiple(vec, -f, reduced)
+            if vec:
+                lead_of[min(vec)] = len(profile)
+                profile.append((i, vec, mult))
+            else:
+                dependent.append((i, mult))
+        rref_rows: list[dict[int, Fraction]] = [{} for _ in profile]
+        for k in range(len(profile) - 1, -1, -1):
+            vec = profile[k][1]
+            lead = min(vec)
+            piv = vec[lead]
+            row = vec if piv == 1 else {j: x / piv for j, x in vec.items()}
+            for j in [j for j in row if j != lead and j in lead_of]:
+                add_multiple(row, -row[j], rref_rows[lead_of[j]])
+            rref_rows[k] = row
+        pivots = tuple(sorted(lead_of))
+        entries = [dict(sorted(rref_rows[lead_of[c]].items())) for c in pivots]
+        entries += [{} for _ in range(self.rows - len(pivots))]
+        return (
+            RatMatrix(self.rows, self.cols, entries),
+            pivots,
+            len(pivots),
+            tuple(i for i, _, _ in profile),
+            ([below for _, _, below in profile], dependent),
+        )
 
-    def _eliminate(self) -> tuple["RatMatrix", tuple[int, ...], int]:
-        work = [dict(d) for d in self._entries]
-        free = set(range(self.rows))
-        pivots: list[int] = []
-        pivot_rows: list[int] = []
-        for pc in range(self.cols):
-            if not free:
-                break
-            hits = [i for i, d in enumerate(work) if pc in d]
-            cands = [i for i in hits if i in free]
-            if not cands:
-                continue
-            p = min(cands, key=lambda i: len(work[i]))
-            piv = work[p][pc]
-            rp = work[p] if piv == 1 else {j: x / piv for j, x in work[p].items()}
-            work[p] = rp
-            for i in hits:
-                if i != p:
-                    add_multiple(work[i], -work[i][pc], rp)
-            free.discard(p)
-            pivots.append(pc)
-            pivot_rows.append(p)
-        rank = len(pivots)
-        entries = [dict(sorted(work[p].items())) for p in pivot_rows]
-        entries += [{} for _ in range(self.rows - rank)]
-        return RatMatrix(self.rows, self.cols, entries), tuple(pivots), rank
+    def _elimination(self) -> tuple:
+        if self._elim is None:
+            object.__setattr__(self, "_elim", self._eliminate())
+        return self._elim
+
+    def rref(self) -> tuple["RatMatrix", tuple[int, ...], int]:
+        """Reduced row echelon form: ``(R, pivot_columns, rank)``, with the
+        RREF rows first in ``R`` and zero rows after them."""
+        return self._elimination()[:3]
 
     def rank(self) -> int:
-        return self.rref()[2]
+        return self._elimination()[2]
+
+    def row_profile(self) -> tuple[int, ...]:
+        """The rows independent of the rows before them, in order: with the
+        pivot columns C, these rows R give a nonsingular ``self[R, C]``."""
+        return self._elimination()[3]
 
     def kernel_basis(self) -> "RatMatrix":
         """Basis of the right kernel, one primitive integer vector per column.
@@ -279,42 +301,23 @@ class RatMatrix:
         """Basis of the left kernel as primitive integer rows.
 
         The result ``K`` is ``(rows - rank) x rows`` with ``K @ self == 0``.
-        The rows are reduced in order against the independent rows before
-        them (the row-rank profile), recording the multiple of each
-        reduced profile row that was subtracted.  A row that reduces to
-        zero is a combination of the profile rows before it; unwinding the
-        recorded multiples gives that combination, the one left-kernel
-        vector that is 1 at the row and 0 at the other rows outside the
-        profile, and its primitive multiple becomes a basis row.
+        A row outside the row-rank profile reduced to zero, so it is a
+        combination of the profile rows before it; unwinding the recorded
+        multiples gives that combination, the one left-kernel vector that
+        is 1 at the row and 0 at the other rows outside the profile, and
+        its primitive multiple becomes a basis row.
         """
-        # per profile row: (original row index, reduced row, {earlier profile row: multiple})
-        profile: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
-        lead_of: dict[int, int] = {}  # leading column of a reduced profile row -> its position
+        _, _, _, profile, (below, dependent) = self._elimination()
         out = []
-        for i, row in enumerate(self._entries):
-            vec = dict(row)
-            mult: dict[int, Fraction] = {}
-            while True:
-                lead = min((j for j in vec if j in lead_of), default=None)
-                if lead is None:
-                    break
-                k = lead_of[lead]
-                reduced = profile[k][1]
-                f = vec[lead] / reduced[lead]
-                mult[k] = f
-                add_multiple(vec, -f, reduced)
-            if vec:
-                lead_of[min(vec)] = len(profile)
-                profile.append((i, vec, mult))
-                continue
+        for i, recorded in dependent:
             # row i = sum mult[k] * reduced_k, and reduced_k = row_(profile k) - sum of its own multiples
+            mult = dict(recorded)
             comb = {i: _ONE}
             for k in range(max(mult, default=-1), -1, -1):
                 c = mult.get(k)
                 if c:
-                    src, _, below = profile[k]
-                    comb[src] = -c
-                    for m, fm in below.items():
+                    comb[profile[k]] = -c
+                    for m, fm in below[k].items():
                         mult[m] = mult.get(m, _ZERO) - c * fm
             out.append(dict(sorted(_primitive(comb).items())))
         return RatMatrix(len(out), self.rows, out)

@@ -44,6 +44,48 @@ def test_analyze_missing_file(capsys):
     assert "error" in err
 
 
+def _unreadable_inputs(tmp_path, monkeypatch):
+    """(path, error text) for a non-UTF-8 file, a path below a file and an
+    unreadable file: each is a user error."""
+    (tmp_path / "latin1.crn").write_bytes("X\xe9 -> 0 ; k1\n".encode("latin-1"))
+    (tmp_path / "locked.crn").write_text("X -> 0 ; k1\n")
+    real_read_text = cli.Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        if self.name == "locked.crn":
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Path, "read_text", read_text)
+    return [
+        (tmp_path / "latin1.crn", "not UTF-8"),
+        (tmp_path / "latin1.crn" / "x.crn", "Not a directory"),
+        (tmp_path / "locked.crn", "Permission denied"),
+    ]
+
+
+def test_unreadable_input_is_a_user_error(tmp_path, capsys, monkeypatch):
+    for path, reason in _unreadable_inputs(tmp_path, monkeypatch):
+        for command in ("analyze", "matrices"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (1, ""), path
+            assert err.startswith("error: ") and reason in err, err
+
+
+def test_batch_mode_unreadable_file_is_a_plain_record(tmp_path, capsys, monkeypatch):
+    _unreadable_inputs(tmp_path, monkeypatch)
+    (tmp_path / "ok.crn").write_text(fixture_path("example46.crn").read_text())
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path), "--seed", "3")
+    assert code == 1
+    records = {r["path"].rsplit("/", 1)[-1]: r for r in map(json.loads, out.strip().splitlines())}
+    assert sorted(records) == ["latin1.crn", "locked.crn", "ok.crn"]
+    assert "not UTF-8" in records["latin1.crn"]["error"]
+    assert "Permission denied" in records["locked.crn"]["error"]
+    for name in ("latin1.crn", "locked.crn"):
+        assert "internal error" not in records[name]["error"]
+    assert records["ok.crn"]["conclusions"]["compatibility_classes"] == "generically_finite"
+
+
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.crn"
     bad.write_text("X -> X ; k1\n")

@@ -10,6 +10,7 @@ from steadydim.netmodel import (
     ReactionNetwork,
     parse_network,
 )
+from steadydim import ratmat
 from steadydim.ratmat import RatMatrix
 
 from conftest import CALCIUM_B, CALCIUM_GAMMA, fixture_path, random_network
@@ -174,6 +175,31 @@ def test_matrix_invariants_random():
         assert mats.gamma.vstack(mats.n_mat).rank() == mats.s
         assert mats.w_mat.rank() == mats.n - mats.s
         assert (mats.w_mat @ mats.gamma).is_zero()
+
+
+def test_from_network_eliminates_gamma_once(monkeypatch):
+    # n_mat, w_mat and G all read one elimination of gamma: building them
+    # makes the calls and the row operations of a single elimination
+    counts = {"eliminations": 0, "row_operations": 0}
+    real_eliminate, real_add_multiple = RatMatrix._eliminate, ratmat.add_multiple
+
+    def eliminate(self):
+        counts["eliminations"] += 1
+        return real_eliminate(self)
+
+    def add_multiple(*args):
+        counts["row_operations"] += 1
+        real_add_multiple(*args)
+
+    monkeypatch.setattr(RatMatrix, "_eliminate", eliminate)
+    monkeypatch.setattr(ratmat, "add_multiple", add_multiple)
+    RatMatrix.from_rows(CALCIUM_GAMMA).rank()
+    one_elimination = dict(counts)
+    assert one_elimination["eliminations"] == 1 and one_elimination["row_operations"] > 0
+    counts.update(eliminations=0, row_operations=0)
+    mats = NetworkMatrices.from_network(parse_network(CALCIUM_TEXT))
+    assert mats.g.cols == mats.r - mats.s
+    assert counts == one_elimination
 
 
 def test_from_matrices_raw():

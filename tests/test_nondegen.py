@@ -307,6 +307,21 @@ def test_generic_rank_bordering_grows_then_certifies():
     assert cert.minors == [((0, 1, 2), (0, 1, 2))]
 
 
+def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
+    # the case above: the basis (R, C) of each certificate round is read off
+    # the elimination that ranked the sample, so the only eliminations are
+    # those of the two samples short of the target, (2,1) and then (2,2)
+    eliminated = []
+    real_eliminate = RatMatrix._eliminate
+    monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
+    matrix = lambda u, h: [[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]]
+    verdict = generic_rank_test(
+        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, rng=ScriptedRng([2, 1, 2, 2])
+    )
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE
+    assert eliminated == [RatMatrix.from_rows(matrix((2, 1), None)), RatMatrix.from_rows(matrix((2, 2), None))]
+
+
 def test_generic_rank_budget_exhausted():
     matrix = lambda u, h: [[u[0] + u[1]]]
     rng = ScriptedRng([1, -1])

@@ -265,6 +265,11 @@ def test_sparse_elimination_agrees_with_sympy(m):
     assert m.left_kernel_basis() == primitive_columns(sm.T.nullspace(), m.rows).transpose()
     rows = [primitive(from_sympy(sym_rref).row(i)) for i in range(rank)]
     assert m.row_basis() == RatMatrix.from_rows(rows, cols=m.cols)
+    # the row-rank profile R is the pivots of the transpose's RREF, and with
+    # the pivot columns C it gives a nonsingular submatrix A[R, C]
+    profile = m.row_profile()
+    assert profile == tuple(sm.T.rref()[1])
+    assert sm.extract(list(profile), list(pivots)).rank() == rank == len(profile)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
