@@ -8,11 +8,11 @@ Subcommands:
   check-point PATH  residual and degeneracy of an explicit (kappa, x)
 
 Exit codes: 0 success (whatever the verdict), 1 parse/usage error or
-unreadable input (or, in directory mode, any file that could not be
-analyzed), 2 internal error.  ``--seed`` falls back to the
-STEADYDIM_SEED environment variable, then 0; with a fixed seed the JSON
-output is byte-identical across runs.  Rationals are serialized as
-strings "p/q" to avoid any precision loss.
+unreadable input (or, in directory mode, a directory without .crn files
+or any file that could not be analyzed), 2 internal error.  ``--seed``
+falls back to the STEADYDIM_SEED environment variable, then 0; with a
+fixed seed the JSON output is byte-identical across runs.  Rationals
+are serialized as strings "p/q" to avoid any precision loss.
 """
 
 from __future__ import annotations
@@ -324,10 +324,14 @@ def _analyze_batch(directory: Path, cfg: SamplerConfig) -> int:
     ``cfg`` was validated once by the caller, so a bad option is one
     usage error, not an error record per file.  A file that fails for
     any reason becomes a ``{"path", "error"}`` record; the rest are still
-    analyzed and the exit code is 1.
+    analyzed and the exit code is 1.  A directory with no .crn file is a
+    usage error, so that a mistyped directory does not pass as a clean run.
     """
+    paths = sorted(directory.glob("*.crn"))
+    if not paths:
+        raise UsageError(f"no *.crn files in {directory}")
     failed = False
-    for path in sorted(directory.glob("*.crn")):
+    for path in paths:
         record: dict = {"path": str(path)}
         try:
             report = analyze(_read_network(path), replace(cfg, seed=derive_seed(cfg.seed, path.name)))

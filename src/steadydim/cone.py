@@ -8,10 +8,14 @@ problem rational (no symbolic epsilon).
 
 The decision runs a phase-1 simplex on {N v = -N 1, v >= 0} (from the
 substitution v = w - 1) with Bland's anti-cycling rule, so termination is
-guaranteed.  The tableau rows and the reduced costs hold only their
-nonzero entries (N has a few per column), and a pivot touches only the
-rows with a nonzero in the entering column.  Witnesses are re-validated
-exactly before being returned; no infeasibility certificate is produced.
+guaranteed.  It stops as soon as the sum of the artificials is 0, the
+least it can be: when N 1 = 0 already (a cycle of reactions, say) that
+is before the first pivot, and the witness is w = 1.  Only an empty cone
+pivots all the way to Bland optimality.  The tableau rows and the reduced
+costs hold only their nonzero entries (N has a few per column), and a
+pivot touches only the rows with a nonzero in the entering column.
+Witnesses are re-validated exactly before being returned; no
+infeasibility certificate is produced.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ def _phase_one_simplex(a_rows: list[dict[int, Fraction]], rhs: list[Fraction], n
     attained optimum and the v part of the final basic solution.  Bland's
     rule: entering column is the lowest index with a negative reduced
     cost; the leaving row is the one whose basic variable has the lowest
-    index among the minimum-ratio ties.  Tableau rows and reduced costs
-    keep only their nonzeros; the right-hand side is a separate column.
+    index among the minimum-ratio ties.  The loop ends at a zero
+    objective, which is optimal, or when no reduced cost is negative.
+    Tableau rows and reduced costs keep only their nonzeros; the
+    right-hand side is a separate column.
     """
     m = len(a_rows)
     # make rhs nonnegative so the artificial basis is feasible
@@ -74,7 +80,9 @@ def _phase_one_simplex(a_rows: list[dict[int, Fraction]], rhs: list[Fraction], n
     cost = {j: x for j, x in cost.items() if x}
     objective = sum(rhs, _ZERO)
 
-    while True:
+    # the objective is a sum of nonnegative artificials, so once it is 0
+    # every further pivot has step 0 and leaves the solution where it is
+    while objective:
         entering = min((j for j, c in cost.items() if c.numerator < 0), default=None)
         if entering is None:
             break

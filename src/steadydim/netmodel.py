@@ -314,9 +314,10 @@ class NetworkMatrices:
 
     @cached_property
     def products(self) -> tuple[tuple[int, int, int, int | Fraction], ...]:
-        """(i, j, k, N[i,k] * B[j,k]) for every nonzero product, k ascending.
+        """(i, j, k, N[i,k] * B[j,k]) for every nonzero product, sorted.
 
-        The sparsity pattern of N diag(w) B^T, collected once per network.
+        The sparsity pattern of N diag(w) B^T, collected once per network;
+        in (i, j, k) order, a row's columns come in ascending order.
         Integral products are Python ints, which multiply much faster than
         Fractions when the pattern is evaluated at integer points.
         """
@@ -328,7 +329,7 @@ class NetworkMatrices:
                 for j, b in bcol:
                     c = a * b
                     out.append((i, j, k, int(c) if c.denominator == 1 else c))
-        return tuple(out)
+        return tuple(sorted(out))
 
     @classmethod
     def from_network(cls, net: ReactionNetwork) -> "NetworkMatrices":

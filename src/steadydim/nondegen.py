@@ -11,14 +11,16 @@ parametrization w = G u of ker(N):
 where the entries are polynomials in u (and h).  Both matrices, and the
 Jacobian at an explicit point, come from one routine, ``jacobian``, which
 sums the nonzero products N[i,k] B[j,k] (collected once per network)
-against numbers or polynomials alike.  Each target rank is tested at
-random integer points, straight from the integer matrices: a sample's
-rank modulo the prime 2^61 - 1 never exceeds its exact rank, so reaching
-the target proves it, and exact rational elimination decides every other
-sample.  Only if every sample falls short is the polynomial matrix
-built, over the variables u_t (index t) and h_j (index u_dim + j): the
-best sample has rank rho and a nonsingular rho x rho submatrix; its
-bordering (rho+1)-minors either all vanish, which proves the rank is rho
+against numbers or polynomials alike into sparse rows, one dict
+{column: nonzero entry} per row, so a sample costs time in its nonzeros,
+not in s x n.  Each target rank is tested at random integer points,
+straight from the integer matrices: a sample's rank modulo the prime
+2^61 - 1 never exceeds its exact rank, so reaching the target proves it,
+and exact rational elimination decides every other sample.  Only if
+every sample falls short is the polynomial matrix built, densely, over
+the variables u_t (index t) and h_j (index u_dim + j): the best sample
+has rank rho and a nonsingular rho x rho submatrix; its bordering
+(rho+1)-minors either all vanish, which proves the rank is rho
 everywhere (Kronecker's theorem, a symbolic certificate), or one of them
 is a nonzero polynomial that drives the sampling to a point of higher
 rank, until the target is reached.  When the first matrix is rank
@@ -148,23 +150,27 @@ class AnalysisReport:
 # -- the Jacobian ----------------------------------------------------------
 
 # A rank test's matrix as a function of (u, h), h None when the test has no
-# h variables.  It must accept numbers and MPolys alike.
-MatrixFn = Callable[[Sequence, Optional[Sequence]], list[list]]
+# h variables: one dict {column: nonzero entry} per row, columns ascending.
+# It must accept numbers and MPolys alike.
+MatrixFn = Callable[[Sequence, Optional[Sequence]], list[dict]]
 
 
-def jacobian(mats: NetworkMatrices, w: Sequence, h: Optional[Sequence] = None) -> list[list]:
-    """The s x n matrix N diag(w) B^T diag(h) as a list of rows.
+def jacobian(mats: NetworkMatrices, w: Sequence, h: Optional[Sequence] = None) -> list[dict]:
+    """The s x n matrix N diag(w) B^T diag(h), one dict {column: nonzero} per row.
 
     Entry (i, j) is the sum over the nonzero products N[i,k] B[j,k] of
     N[i,k] B[j,k] w_k, times h_j when ``h`` is given.  ``w`` and ``h``
-    may hold numbers or MPolys; an entry no product reaches is the int 0.
+    may hold numbers or MPolys; ``h`` must hold no zero.  An entry that
+    no product reaches, or whose products cancel, is left out; the
+    columns of each row are ascending.
     """
-    rows = [[0] * mats.n for _ in range(mats.s)]
+    rows: list[dict] = [{} for _ in range(mats.s)]
     for i, j, k, c in mats.products:
-        rows[i][j] += c * w[k]
-    if h is not None:
-        rows = [[x * hj for x, hj in zip(row, h)] for row in rows]
-    return rows
+        row = rows[i]
+        row[j] = row.get(j, 0) + c * w[k]
+    if h is None:
+        return [{j: x for j, x in row.items() if x} for row in rows]
+    return [{j: x * h[j] for j, x in row.items() if x} for row in rows]
 
 
 def _kernel_combination(mats: NetworkMatrices, g: RatMatrix):
@@ -186,29 +192,37 @@ def f_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
 def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
     """[N diag(Gu) B^T diag(h); W] as a function of (u, h)."""
     combine = _kernel_combination(mats, g)
-    w_rows = [[int(x) if x.denominator == 1 else x for x in row] for row in mats.w_mat.to_rows()]
+    w_rows = [
+        {j: int(x) if x.denominator == 1 else x for j, x in mats.w_mat.entries(i).items()}
+        for i in range(mats.w_mat.rows)
+    ]
     return lambda u, h: jacobian(mats, combine(u), h) + w_rows
 
 
-def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int]) -> list[list[MPoly]]:
-    """The matrix at the variables u1.. (and h1..), every entry an MPoly.
+def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int], cols: int) -> list[list[MPoly]]:
+    """The matrix at the variables u1.. (and h1..), dense, every entry an MPoly.
 
     u_t is variable t and h_j is variable u_dim + j, so a polynomial entry
-    evaluates at the concatenated sample ``u_vals + h_vals``.
+    evaluates at the concatenated sample ``u_vals + h_vals``.  The minors
+    of the certificate path read this dense form; samples never need it.
     """
     u = [MPoly.var(t) for t in range(u_dim)]
     h = None if h_dim is None else [MPoly.var(u_dim + j) for j in range(h_dim)]
-    return [[x if isinstance(x, MPoly) else MPoly.const(x) for x in row] for row in matrix(u, h)]
+    zero = MPoly.const(0)
+    return [
+        [x if isinstance(x := row.get(j, zero), MPoly) else MPoly.const(x) for j in range(cols)]
+        for row in matrix(u, h)
+    ]
 
 
 def symbolic_jacobian_f(mats: NetworkMatrices, g: RatMatrix) -> list[list[MPoly]]:
     """The s x n matrix N diag(Gu) B^T, entries linear in u."""
-    return _symbolic(f_test_matrix(mats, g), g.cols, None)
+    return _symbolic(f_test_matrix(mats, g), g.cols, None, mats.n)
 
 
 def symbolic_jacobian_F(mats: NetworkMatrices, g: RatMatrix) -> list[list[MPoly]]:
     """The n x n matrix [N diag(Gu) B^T diag(h); W]."""
-    return _symbolic(F_test_matrix(mats, g), g.cols, mats.n)
+    return _symbolic(F_test_matrix(mats, g), g.cols, mats.n, mats.n)
 
 
 # -- randomized rank test -------------------------------------------------
@@ -258,12 +272,14 @@ def generic_rank_test(
     *,
     u_dim: int,
     h_dim: Optional[int] = None,
+    cols: int,
     rng: Optional[random.Random] = None,
 ) -> GenericRankVerdict:
     """Decide whether the matrix ``matrix(u, h)`` has rank >= ``target`` somewhere.
 
     ``matrix`` maps u (length ``u_dim``) and h (length ``h_dim``, or None)
-    to a list of rows, for numbers and for MPolys alike: a sample is the
+    to its rows, each a dict {column: nonzero entry} over the columns
+    0..``cols``-1, for numbers and for MPolys alike: a sample is the
     matrix at integer u and h, and the polynomial matrix is the same
     function at the variables u1.., h1...
 
@@ -315,7 +331,7 @@ def generic_rank_test(
         # target proves it; short of it, it decides nothing
         if rank_mod_p(rows) >= target:
             return target, None
-        evaluated = RatMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
+        evaluated = RatMatrix.from_entries(len(rows), cols, rows)
         return evaluated.rank(), evaluated
 
     bound = cfg.sample_bound
@@ -352,7 +368,7 @@ def generic_rank_test(
     # no sample reaches a target above the matrix's size, so checking here covers it
     if target > min(evaluated.rows, evaluated.cols):
         raise ValueError(f"target rank {target} out of range for {evaluated.rows}x{evaluated.cols}")
-    symbolic = _symbolic(matrix, u_dim, h_dim)
+    symbolic = _symbolic(matrix, u_dim, h_dim, cols)
     while True:
         # the sample's row-rank profile and pivot columns: a nonsingular
         # rank x rank submatrix, from the elimination that ranked the sample
@@ -418,7 +434,7 @@ def check_steady_state(mats: NetworkMatrices, kappa, x) -> SteadyStateCheck:
     kv, xv = _validate_point(mats, kappa, x)
     scaled = [k * m for k, m in zip(kv, _monomials(mats, xv))]
     residual = mats.n_mat.mul_vec(scaled)
-    jac = RatMatrix.from_rows(jacobian(mats, scaled, [1 / v for v in xv]), cols=mats.n)
+    jac = RatMatrix.from_entries(mats.s, mats.n, jacobian(mats, scaled, [1 / v for v in xv]))
     stacked_rank = jac.vstack(mats.w_mat).rank()
     return SteadyStateCheck(
         kappa=kv,
@@ -464,7 +480,7 @@ def analyze_matrices(
 
     def rank_test(matrix: MatrixFn, target: int, label: str, h_dim=None) -> GenericRankVerdict:
         rng = random.Random(derive_seed(cfg.seed, label))
-        verdict = generic_rank_test(matrix, target, cfg, u_dim=u_dim, h_dim=h_dim, rng=rng)
+        verdict = generic_rank_test(matrix, target, cfg, u_dim=u_dim, h_dim=h_dim, cols=mats.n, rng=rng)
         if not verdict.nondegenerate:
             return verdict
         w = combine([int(x) for x in verdict.witness_u])

@@ -10,9 +10,10 @@ read off the RREF.  Matrices are immutable after construction, so
 values can be shared freely across threads; each one keeps its
 elimination once computed, so all of these cost one elimination.
 
-``rank_mod_p`` ranks a matrix of ints and Fractions modulo the prime
-``MODULUS``; that rank never exceeds the rational rank, so a rank of
-at least k modulo p proves a rank of at least k over Q.
+``rank_mod_p`` ranks a matrix of ints and Fractions, given as the same
+sparse rows, modulo the prime ``MODULUS``, reducing the rows in order
+(forward only); that rank never exceeds the rational rank, so a rank
+of at least k modulo p proves a rank of at least k over Q.
 
 Basis vectors are rescaled to primitive integer vectors to keep
 downstream coefficients small.
@@ -333,40 +334,31 @@ def add_multiple(target: dict, f, source: dict) -> None:
             del target[j]
 
 
-def rank_mod_p(rows: Sequence[Sequence]) -> int:
-    """Rank modulo ``MODULUS`` of a matrix of ints and Fractions.
+def rank_mod_p(rows: Sequence[Mapping[int, Union[int, Fraction]]]) -> int:
+    """Rank modulo ``MODULUS`` of a matrix given as sparse rows.
 
-    Each row is first scaled by the lcm of its denominators, which keeps
-    the rank.  Eliminates forward only, on sparse rows, pivoting on the
-    sparsest row.
+    Each row is a dict {column: int or Fraction}; it is first scaled by
+    the lcm of its denominators, which keeps the rank.  The rows are then
+    reduced in order, each against the earlier independent rows whose
+    lead (first nonzero column) it meets, until its own lead is new or
+    nothing is left, so the work follows the nonzeros.
     """
     p = MODULUS
-    work = []
+    leads: dict[int, tuple[dict[int, int], int]] = {}  # lead -> (reduced row, inverse of its lead)
     for row in rows:
-        nonzeros = [(j, x) for j, x in enumerate(row) if x]
-        mult = lcm(*(x.denominator for _, x in nonzeros if x.__class__ is not int))
-        d = {j: y for j, x in nonzeros if (y := int(x * mult) % p)}
-        if d:
-            work.append(d)
-    rank = 0
-    ncols = max((len(row) for row in rows), default=0)
-    for pc in range(ncols):
-        if not work:
-            break
-        hits = [d for d in work if pc in d]
-        if not hits:
-            continue
-        rp = min(hits, key=len)
-        inv = pow(rp[pc], -1, p)
-        for ri in hits:
-            if ri is not rp:
-                f = ri[pc] * inv % p
-                for j, x in rp.items():
-                    y = (ri.get(j, 0) - f * x) % p
-                    if y:
-                        ri[j] = y
-                    else:
-                        del ri[j]
-        work = [d for d in work if d and d is not rp]
-        rank += 1
-    return rank
+        mult = lcm(*(x.denominator for x in row.values() if x.__class__ is not int))
+        vec = {j: y for j, x in row.items() if (y := int(x * mult) % p)}
+        while vec:
+            lead = min(vec)
+            if lead not in leads:
+                leads[lead] = (vec, pow(vec[lead], -1, p))
+                break
+            piv, inv = leads[lead]
+            f = vec[lead] * inv % p
+            for j, x in piv.items():
+                y = (vec.get(j, 0) - f * x) % p
+                if y:
+                    vec[j] = y
+                else:
+                    del vec[j]
+    return len(leads)

@@ -9,7 +9,10 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
+from steadydim.netmodel import NetworkMatrices
 from steadydim.ratmat import RatMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -47,6 +50,15 @@ def diag(vec) -> RatMatrix:
     """The diagonal matrix with ``vec`` on its diagonal."""
     k = len(vec)
     return RatMatrix.from_rows([[x if i == j else 0 for j in range(k)] for i, x in enumerate(vec)], cols=k)
+
+
+def dict_rows(rows) -> list[dict]:
+    """Dense rows as the rank tests take them: one dict {column: nonzero} per row.
+
+    A dense test matrix ``lambda u, h: [[...]]`` becomes
+    ``lambda u, h: dict_rows([[...]])``.
+    """
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def random_rational_matrix(rng: random.Random, max_dim: int = 6, max_num: int = 9) -> RatMatrix:
@@ -88,6 +100,30 @@ def random_network(rng: random.Random, max_species: int = 6, max_reactions: int 
 
         lines.append(f"{side(lhs)} -> {side(rhs)} ; k{i + 1}")
     return parse_network("\n".join(lines))
+
+
+@st.composite
+def raw_matrices(draw) -> NetworkMatrices:
+    """from_matrices input with a non-integral n_mat and a negative exponent."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    s = draw(st.integers(1, min(n, r)))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    n_mat = RatMatrix.from_rows([[draw(entry) for _ in range(r)] for _ in range(s)])
+    b = RatMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)])
+    w_mat = RatMatrix.from_rows(
+        [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n - s)], cols=n
+    )
+    assume(n_mat.rank() == s and not n_mat.is_integral())
+    assume(w_mat.rank() == n - s and any(x < 0 for row in b.to_rows() for x in row))
+    return NetworkMatrices.from_matrices(n_mat, b, w_mat)
+
+
+NETWORK_MATRICES = st.one_of(
+    st.integers(0, 2**32).map(
+        lambda seed: NetworkMatrices.from_network(random_network(random.Random(seed)))
+    ),
+    raw_matrices(),
+)
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:

@@ -88,7 +88,7 @@ def test_criterion_1_calcium_exact(capsys):
     # stacked matrix [n_mat diag(w) b^T ; w_mat] has rank 4 at w = (1,1,1,2,1,1)
     # (n_mat is a row basis of gamma, so gamma's stacked matrix has the same rank)
     w = (1, 1, 1, 2, 1, 1)
-    stacked = RatMatrix.from_rows(jacobian(mats, w)).vstack(mats.w_mat)
+    stacked = RatMatrix.from_entries(mats.s, mats.n, jacobian(mats, w)).vstack(mats.w_mat)
     assert stacked.rank() == 4
     report = analyze(net, SamplerConfig(seed=2024))
     assert report.cone.exists

@@ -219,6 +219,16 @@ def test_batch_mode(tmp_path, capsys):
     assert records[0]["conclusions"]["compatibility_classes"] == "generically_finite"
 
 
+@pytest.mark.parametrize("names", [(), ("net.CRN",)], ids=["empty", "upper_case_suffix"])
+def test_batch_mode_without_crn_files_is_a_user_error(tmp_path, capsys, names):
+    for name in names:
+        (tmp_path / name).write_text(fixture_path("calcium.crn").read_text())
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: no *.crn files in {tmp_path}\n"
+
+
 def test_batch_mode_isolates_internal_errors(tmp_path, capsys, monkeypatch):
     (tmp_path / "a_boom.crn").write_text(fixture_path("calcium.crn").read_text())
     (tmp_path / "b_quadratic.crn").write_text(fixture_path("example46.crn").read_text())

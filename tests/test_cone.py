@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.solvers.simplex import InfeasibleLPError, linprog
 
-from steadydim.cone import ConeResult, ConeStatus, positive_kernel_vector
+from steadydim import cone
+from steadydim.cone import ConeResult, ConeStatus, _phase_one_simplex, positive_kernel_vector
 from steadydim.netmodel import NetworkMatrices, parse_network
-from steadydim.ratmat import RatMatrix
+from steadydim.ratmat import RatMatrix, add_multiple
 
-from conftest import random_network, random_rational_matrix
+from conftest import NETWORK_MATRICES, random_network, random_rational_matrix
+
+CHAIN12 = Path(__file__).resolve().parent / "data" / "chain12.crn"
 
 
 def sympy_cone_feasible(m: RatMatrix) -> bool:
@@ -105,3 +111,83 @@ def test_against_sympy_lp_oracle():
         assert res.exists == sympy_cone_feasible(m)
         if res.exists:
             assert_valid_witness(m, res)
+
+
+# -- phase 1 stops at a zero objective ------------------------------------------
+
+
+def bland_to_optimality(a_rows, rhs, nvars):
+    """Reference phase 1: the same tableau and Bland pivots, run until no
+    reduced cost is negative, however long the objective has been 0."""
+    m = len(a_rows)
+    tableau, rhs = [], list(rhs)
+    for i in range(m):
+        row = dict(a_rows[i])
+        if rhs[i] < 0:
+            row = {j: -x for j, x in row.items()}
+            rhs[i] = -rhs[i]
+        row[nvars + i] = Fraction(1)
+        tableau.append(row)
+    basis = list(range(nvars, nvars + m))
+    cost = {}
+    for row in tableau:
+        for j, x in row.items():
+            if j < nvars:
+                cost[j] = cost.get(j, 0) - x
+    cost = {j: x for j, x in cost.items() if x}
+    objective = sum(rhs, Fraction(0))
+    while True:
+        entering = min((j for j, c in cost.items() if c < 0), default=None)
+        if entering is None:
+            break
+        leaving, best = -1, None
+        for i in range(m):
+            coeff = tableau[i].get(entering)
+            if coeff is not None and coeff > 0:
+                ratio = rhs[i] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        piv = tableau[leaving][entering]
+        tableau[leaving] = piv_row = {j: x / piv for j, x in tableau[leaving].items()}
+        rhs[leaving] /= piv
+        b = rhs[leaving]
+        for i in range(m):
+            f = tableau[i].get(entering)
+            if i != leaving and f is not None:
+                add_multiple(tableau[i], -f, piv_row)
+                rhs[i] -= f * b
+        f = cost.get(entering)
+        if f is not None:
+            add_multiple(cost, -f, piv_row)
+            objective += f * b
+        basis[leaving] = entering
+    solution = [Fraction(0)] * nvars
+    for i, var in enumerate(basis):
+        if var < nvars:
+            solution[var] = rhs[i]
+    return objective, solution
+
+
+def test_phase_one_makes_no_pivot_when_the_ones_vector_is_in_the_kernel(monkeypatch):
+    # the chain's reactions form a cycle with reversible pairs, so N 1 = 0 and
+    # the objective starts at 0; running on to Bland optimality takes 11 pivots
+    mats = NetworkMatrices.from_network(parse_network(CHAIN12.read_text()))
+    calls = []
+    monkeypatch.setattr(cone, "add_multiple", lambda *args: calls.append(args) or add_multiple(*args))
+    res = positive_kernel_vector(mats.n_mat)
+    assert calls == []
+    assert res.witness == (1,) * mats.r
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(mats=NETWORK_MATRICES, data=st.data())
+def test_phase_one_agrees_with_the_run_to_optimality(mats, data):
+    # a pivot taken at objective 0 has step 0: it changes the basis, never
+    # the basic solution, so stopping there gives the same optimum and point.
+    # Besides the cone's right-hand side -N 1, the feasible A x0 (x0 >= 0)
+    # reaches objective 0 with reduced costs still negative more often.
+    for m in (mats.n_mat, mats.gamma):
+        a_rows = [m.entries(i) for i in range(m.rows)]
+        x0 = data.draw(st.lists(st.integers(0, 2), min_size=m.cols, max_size=m.cols))
+        for rhs in ([-sum(row.values(), Fraction(0)) for row in a_rows], list(m.mul_vec(x0))):
+            assert _phase_one_simplex(a_rows, rhs, m.cols) == bland_to_optimality(a_rows, rhs, m.cols)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steadydim.cone import ConeStatus
@@ -32,7 +32,7 @@ from steadydim.nondegen import (
 from steadydim import nondegen
 from steadydim.ratmat import MODULUS, RatMatrix
 
-from conftest import diag, fixture_path, parse_certificate, random_network
+from conftest import NETWORK_MATRICES, diag, dict_rows, fixture_path, parse_certificate, random_network
 
 CALCIUM = parse_network(fixture_path("calcium.crn").read_text())
 EXAMPLE42 = parse_network(fixture_path("example42.crn").read_text())
@@ -143,30 +143,6 @@ def test_zero_reactant_matrix_gives_zero_jacobian():
     assert all(p.is_zero() for row in jac for p in row)
 
 
-@st.composite
-def raw_matrices(draw) -> NetworkMatrices:
-    """from_matrices input with a non-integral n_mat and a negative exponent."""
-    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    s = draw(st.integers(1, min(n, r)))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    n_mat = RatMatrix.from_rows([[draw(entry) for _ in range(r)] for _ in range(s)])
-    b = RatMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)])
-    w_mat = RatMatrix.from_rows(
-        [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n - s)], cols=n
-    )
-    assume(n_mat.rank() == s and not n_mat.is_integral())
-    assume(w_mat.rank() == n - s and any(x < 0 for row in b.to_rows() for x in row))
-    return NetworkMatrices.from_matrices(n_mat, b, w_mat)
-
-
-NETWORK_MATRICES = st.one_of(
-    st.integers(0, 2**32).map(
-        lambda seed: NetworkMatrices.from_network(random_network(random.Random(seed)))
-    ),
-    raw_matrices(),
-)
-
-
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(mats=NETWORK_MATRICES, data=st.data())
 def test_sampled_matrices_equal_polynomial_matrices_at_the_sample(mats, data):
@@ -180,7 +156,24 @@ def test_sampled_matrices_equal_polynomial_matrices_at_the_sample(mats, data):
         (f_test_matrix(mats, g)(u_vals, None), symbolic_jacobian_f(mats, g)),
         (F_test_matrix(mats, g)(u_vals, h_vals), symbolic_jacobian_F(mats, g)),
     ):
-        assert sampled == [[p.eval(point) for p in row] for row in symbolic]
+        assert sampled == dict_rows([[p.eval(point) for p in row] for row in symbolic])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mats=NETWORK_MATRICES, data=st.data())
+def test_jacobian_rows_store_only_nonzeros_and_F_ends_with_w(mats, data):
+    # small u (zero allowed) makes entries cancel; the rows must drop them
+    g = mats.g
+    u_vals = data.draw(st.lists(st.integers(-2, 2), min_size=g.cols, max_size=g.cols))
+    h_vals = data.draw(st.lists(st.integers(1, 3), min_size=mats.n, max_size=mats.n))
+    f_rows = f_test_matrix(mats, g)(u_vals, None)
+    F_rows = F_test_matrix(mats, g)(u_vals, h_vals)
+    symbolic = f_test_matrix(mats, g)([MPoly.var(t) for t in range(g.cols)], None)
+    assert len(f_rows) == len(symbolic) == mats.s and len(F_rows) == mats.n
+    for row in f_rows + F_rows + symbolic:
+        assert all(row.values()) and list(row) == sorted(row)
+        assert all(0 <= j < mats.n for j in row)
+    assert F_rows[mats.s :] == [mats.w_mat.entries(i) for i in range(mats.w_mat.rows)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -203,9 +196,9 @@ def test_check_steady_state_jacobian_is_the_explicit_product(mats, data):
 
 def test_generic_rank_constant_identity():
     def ident(u, h):
-        return [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+        return dict_rows([[1 if i == j else 0 for j in range(3)] for i in range(3)])
 
-    verdict = generic_rank_test(ident, 3, SamplerConfig(seed=1), u_dim=0)
+    verdict = generic_rank_test(ident, 3, SamplerConfig(seed=1), u_dim=0, cols=3)
     assert verdict.status is RankTestStatus.NONDEGENERATE_EXISTS
     assert verdict.samples_tried == 1
     assert verdict.witness_u == ()
@@ -215,7 +208,7 @@ def test_generic_rank_quadratic_network():
     mats = NetworkMatrices.from_network(EXAMPLE46)
     g = mats.n_mat.kernel_basis()
     verdict = generic_rank_test(
-        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=3), u_dim=2
+        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=3), u_dim=2, cols=mats.n
     )
     assert verdict.nondegenerate
     assert len(verdict.witness_u) == 2
@@ -242,7 +235,7 @@ def test_generic_rank_samples_build_no_polynomials(monkeypatch):
 
     monkeypatch.setattr(MPoly, "__init__", refuse)
     verdict = generic_rank_test(
-        F_test_matrix(mats, g), mats.n, SamplerConfig(seed=11), u_dim=g.cols, h_dim=mats.n
+        F_test_matrix(mats, g), mats.n, SamplerConfig(seed=11), u_dim=g.cols, h_dim=mats.n, cols=mats.n
     )
     assert verdict.nondegenerate
 
@@ -251,7 +244,7 @@ def test_generic_rank_all_degenerate_with_certificate():
     mats = NetworkMatrices.from_network(EXAMPLE42)
     g = mats.n_mat.kernel_basis()
     verdict = generic_rank_test(
-        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=4), u_dim=1
+        f_test_matrix(mats, g), mats.s, SamplerConfig(seed=4), u_dim=1, cols=mats.n
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.witness_u is None
@@ -267,10 +260,10 @@ def test_generic_rank_all_degenerate_with_certificate():
 def test_generic_rank_minor_hunt_path():
     # single entry u1 + u2: vanishes at the scripted first sample, then the
     # minor scan finds it nonzero and the hunt locates a witness
-    matrix = lambda u, h: [[u[0] + u[1]]]
+    matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
     rng = ScriptedRng([1, -1, 2, 3])
     verdict = generic_rank_test(
-        matrix, 1, SamplerConfig(seed=0, retries=1), u_dim=2, rng=rng
+        matrix, 1, SamplerConfig(seed=0, retries=1), u_dim=2, cols=1, rng=rng
     )
     assert verdict.nondegenerate
     assert verdict.samples_tried == 2
@@ -282,10 +275,10 @@ def test_generic_rank_bordering_grows_then_hunts():
     # 1, so the bordering 2x2 minor (u1-1)(u2-1) is hunted, skipping (1,1,1)
     # where it vanishes; (2,2,1) has rank 2, and the bordering 3x3 minor is
     # hunted to (3,3,3)
-    matrix = lambda u, h: [[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]]
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]])
     rng = ScriptedRng([2, 1, 1, 1, 1, 1, 2, 2, 1, 3, 3, 3])
     verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=3, rng=rng
+        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=3, cols=3, rng=rng
     )
     assert verdict.nondegenerate
     assert verdict.witness_u == (3, 3, 3)
@@ -295,10 +288,10 @@ def test_generic_rank_bordering_grows_then_hunts():
 def test_generic_rank_bordering_grows_then_certifies():
     # generic rank 2 < 3; the sample (2,1) has rank 1, so the loop grows the
     # basis at the hunted point (2,2) and certifies from there
-    matrix = lambda u, h: [[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]]
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     rng = ScriptedRng([2, 1, 2, 2])
     verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, rng=rng
+        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, cols=3, rng=rng
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.samples_tried == 2
@@ -314,35 +307,35 @@ def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
     eliminated = []
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
-    matrix = lambda u, h: [[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]]
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, rng=ScriptedRng([2, 1, 2, 2])
+        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, cols=3, rng=ScriptedRng([2, 1, 2, 2])
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
-    assert eliminated == [RatMatrix.from_rows(matrix((2, 1), None)), RatMatrix.from_rows(matrix((2, 2), None))]
+    assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in ((2, 1), (2, 2))]
 
 
 def test_generic_rank_budget_exhausted():
-    matrix = lambda u, h: [[u[0] + u[1]]]
+    matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
     rng = ScriptedRng([1, -1])
     cfg = SamplerConfig(seed=0, retries=1, hard_cap=7)
     with pytest.raises(BudgetExhausted):
-        generic_rank_test(matrix, 1, cfg, u_dim=2, rng=rng)
+        generic_rank_test(matrix, 1, cfg, u_dim=2, cols=1, rng=rng)
 
 
 def test_generic_rank_target_out_of_range():
     with pytest.raises(ValueError):
-        generic_rank_test(lambda u, h: [[u[0]]], 2, SamplerConfig(), u_dim=1)
+        generic_rank_test(lambda u, h: dict_rows([[u[0]]]), 2, SamplerConfig(), u_dim=1, cols=1)
     with pytest.raises(ValueError):
-        generic_rank_test(lambda u, h: [[u[0]]], -1, SamplerConfig(), u_dim=1)
+        generic_rank_test(lambda u, h: dict_rows([[u[0]]]), -1, SamplerConfig(), u_dim=1, cols=1)
 
 
 def test_generic_rank_target_below_the_generic_rank():
     # a witness needs rank >= target, not equal: the first sample decides
-    verdict = generic_rank_test(lambda u, h: [[u[0]]], 0, SamplerConfig(seed=1), u_dim=1)
+    verdict = generic_rank_test(lambda u, h: dict_rows([[u[0]]]), 0, SamplerConfig(seed=1), u_dim=1, cols=1)
     assert verdict.nondegenerate and verdict.samples_tried == 1
-    matrix = lambda u, h: [[u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
-    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=1), u_dim=2)
+    matrix = lambda u, h: dict_rows([[u[0], 0, 0], [0, u[1], 0], [0, 0, 0]])
+    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=1), u_dim=2, cols=3)
     assert verdict.nondegenerate and verdict.samples_tried == 1
 
 
@@ -371,38 +364,45 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
     scale = [data.draw(scales) for _ in range(rows)]
     target = data.draw(st.integers(0, min(rows, cols)))
 
-    def matrix(u, h):
+    def dense(u):
         return [
             [scale[i] * sum(left[i][t] * u[t] * right[t][j] for t in range(inner)) for j in range(cols)]
             for i in range(rows)
         ]
 
+    matrix = lambda u, h: dict_rows(dense(u))
     cfg = SamplerConfig(seed=data.draw(st.integers(0, 99)), retries=2)
 
-    verdict = generic_rank_test(matrix, target, cfg, u_dim=inner)
+    verdict = generic_rank_test(matrix, target, cfg, u_dim=inner, cols=cols)
     if verdict.nondegenerate:
-        assert _exact_rank(matrix(verdict.witness_u, None)) >= target
+        assert _exact_rank(dense(verdict.witness_u)) >= target
     # the same samples with every rank computed over Q give the same outcome
     with mock.patch.object(nondegen, "rank_mod_p", lambda rows: -1):
-        assert generic_rank_test(matrix, target, cfg, u_dim=inner) == verdict
+        assert generic_rank_test(matrix, target, cfg, u_dim=inner, cols=cols) == verdict
 
 
 def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
     # every entry is a multiple of p, so the rank mod p is 0 < 1 = the exact rank
-    verdict = generic_rank_test(lambda u, h: [[MODULUS * u[0]]], 1, SamplerConfig(seed=2), u_dim=1)
+    verdict = generic_rank_test(
+        lambda u, h: dict_rows([[MODULUS * u[0]]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
+    )
     assert verdict.nondegenerate and verdict.samples_tried == 1
-    verdict = generic_rank_test(lambda u, h: [[Fraction(u[0], MODULUS)]], 1, SamplerConfig(seed=2), u_dim=1)
+    verdict = generic_rank_test(
+        lambda u, h: dict_rows([[Fraction(u[0], MODULUS)]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
+    )
     assert verdict.nondegenerate and verdict.samples_tried == 1
 
 
 def test_modular_shortcut_needs_the_full_rank_target():
     # rank 2 everywhere, rank 1 modulo p: the rank mod p proves a target of 1
     # but not of 2, and either way the witness's exact rank is 2
-    matrix = lambda u, h: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
+    dense = lambda u: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
     for target in (1, 2):
-        verdict = generic_rank_test(matrix, target, SamplerConfig(seed=2), u_dim=2)
+        verdict = generic_rank_test(
+            lambda u, h: dict_rows(dense(u)), target, SamplerConfig(seed=2), u_dim=2, cols=3
+        )
         assert verdict.nondegenerate and verdict.samples_tried == 1
-        assert _exact_rank(matrix(verdict.witness_u, None)) == 2 >= target
+        assert _exact_rank(dense(verdict.witness_u)) == 2 >= target
 
 
 def test_generic_rank_scaling_invariance():
@@ -417,10 +417,10 @@ def test_generic_rank_scaling_invariance():
             rows=g.rows,
         )
         v1 = generic_rank_test(
-            f_test_matrix(mats, g), mats.s, SamplerConfig(seed=5), u_dim=g.cols
+            f_test_matrix(mats, g), mats.s, SamplerConfig(seed=5), u_dim=g.cols, cols=mats.n
         )
         v2 = generic_rank_test(
-            f_test_matrix(mats, scaled), mats.s, SamplerConfig(seed=6), u_dim=g.cols
+            f_test_matrix(mats, scaled), mats.s, SamplerConfig(seed=6), u_dim=g.cols, cols=mats.n
         )
         assert v1.status is v2.status
 
@@ -608,8 +608,8 @@ def test_generic_rank_matches_sympy_symbolic_rank():
         jac_f = symbolic_jacobian_f(mats, g)
         jac_F = symbolic_jacobian_F(mats, g)
         cfg = SamplerConfig(seed=rng.randint(0, 2**32))
-        vf = generic_rank_test(f_test_matrix(mats, g), mats.s, cfg, u_dim=g.cols)
-        vF = generic_rank_test(F_test_matrix(mats, g), mats.n, cfg, u_dim=g.cols, h_dim=mats.n)
+        vf = generic_rank_test(f_test_matrix(mats, g), mats.s, cfg, u_dim=g.cols, cols=mats.n)
+        vF = generic_rank_test(F_test_matrix(mats, g), mats.n, cfg, u_dim=g.cols, h_dim=mats.n, cols=mats.n)
         assert vf.nondegenerate == (_sympy_generic_rank(jac_f, g.cols) == mats.s)
         assert vF.nondegenerate == (_sympy_generic_rank(jac_F, g.cols + mats.n) == mats.n)
 

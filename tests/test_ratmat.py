@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steadydim.ratmat import MODULUS, RatMatrix, primitive, rank_mod_p
 
-from conftest import CALCIUM_B, CALCIUM_GAMMA, diag, random_rational_matrix
+from conftest import CALCIUM_B, CALCIUM_GAMMA, diag, dict_rows, random_rational_matrix
 
 
 def identity(k: int) -> RatMatrix:
@@ -310,16 +310,16 @@ def test_rank_mod_p_equals_exact_rank_on_low_rank_products(data):
     product = [[sum((a * b for a, b in zip(lrow, col)), 0) for col in zip(*right)] if right else [0] * cols
                for lrow in left]
     exact = to_sympy(RatMatrix.from_rows(product, cols=cols)).rank()
-    assert rank_mod_p(product) == exact <= inner
+    assert rank_mod_p(dict_rows(product)) == exact <= inner
 
 
 def test_rank_mod_p_is_a_lower_bound_and_flags_bad_denominators():
     p = MODULUS
-    assert rank_mod_p([[p, 0], [0, 1]]) == 1  # p vanishes modulo p; the rational rank is 2
+    assert rank_mod_p(dict_rows([[p, 0], [0, 1]])) == 1  # p vanishes modulo p; the rational rank is 2
     assert RatMatrix.from_rows([[p, 0], [0, 1]]).rank() == 2
     # rows are scaled by the lcm of their denominators first: [1, p] here
-    assert rank_mod_p([[Fraction(1, p), 1]]) == 1
-    assert rank_mod_p([[Fraction(1, p), 1], [Fraction(1, p), 0]]) == 1
+    assert rank_mod_p(dict_rows([[Fraction(1, p), 1]])) == 1
+    assert rank_mod_p(dict_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]])) == 1
     assert RatMatrix.from_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]]).rank() == 2
-    assert rank_mod_p([[Fraction(p + 1, 2 * p + 3)]]) == 1
+    assert rank_mod_p(dict_rows([[Fraction(p + 1, 2 * p + 3)]])) == 1
     assert rank_mod_p([]) == 0
