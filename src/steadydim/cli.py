@@ -387,8 +387,17 @@ def cmd_check_point(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError (exit 1) after the usage
+    line; argparse builds the subcommand parsers from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steadydim",
         description=(
             "Decide, with exact rational arithmetic, whether a mass-action "
@@ -427,8 +436,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

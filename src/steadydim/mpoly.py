@@ -7,11 +7,14 @@ x0^2 x3 is (0, 0, 3) and the constant monomial is ().  Terms are kept in
 a dict from monomials to nonzero coefficients, each the int or Fraction
 it was computed as.
 
-Also provides the exact symbolic determinant (Laplace expansion along the
-sparsest remaining row, every sub-minor computed once per call) and a
-short-circuiting test that every k x k minor vanishes: over the minors
-that border a known nonsingular (k-1)-submatrix (Kronecker's rank
-theorem), or over all of them.
+A matrix of polynomials is kept as sparse rows, one dict {column:
+nonzero MPoly} per row, the format of the samples and of ``RatMatrix``.
+On it this module provides the exact symbolic determinant of the minor
+that a list of rows and a list of column indices select (Laplace
+expansion along the sparsest remaining row, every sub-minor computed once
+per call), and a short-circuiting test that every k x k minor vanishes:
+over the minors that border a known nonsingular (k-1)-submatrix
+(Kronecker's rank theorem), or over all of them.
 """
 
 from __future__ import annotations
@@ -114,46 +117,54 @@ class MPoly:
         return total
 
 
-def det(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Exact determinant of a square matrix of polynomials.
+_ZERO = MPoly()  # the value of an entry that a sparse row leaves out
 
-    Laplace expansion along the sparsest remaining row (the first of
-    equals), skipping zero entries, with every sub-minor cached by its
-    (rows, columns) for the duration of the call.  Structural zeros prune
-    the expansion, and the cache bounds a dense k x k determinant to
-    k * 2^(k-1) entry x minor products.  The 0x0 determinant is 1.
+
+def det(rows: Sequence[Mapping[int, MPoly]], cols: Sequence[int]) -> MPoly:
+    """Exact determinant of the square submatrix ``rows`` x ``cols``.
+
+    ``rows`` are the minor's rows, each a dict {column: nonzero MPoly}
+    that may hold entries outside ``cols``; ``cols`` are its column
+    indices, in order.  Laplace expansion along the sparsest remaining
+    row (the first of equals), over the entries present in it, with every
+    sub-minor cached by its (rows, columns) for the duration of the call.
+    Structural zeros prune the expansion, and the cache bounds a dense
+    k x k determinant to k * 2^(k-1) entry x minor products.  The 0x0
+    determinant is 1.
     """
-    k = len(matrix)
-    if any(len(r) != k for r in matrix):
-        raise ValueError("determinant of a non-square matrix")
+    k = len(rows)
+    if len(cols) != k:
+        raise ValueError(f"determinant of a {k}x{len(cols)} matrix")
     if k == 0:
         return MPoly.const(1)
-    return _minor(matrix, tuple(range(k)), tuple(range(k)), {})
+    return _minor(rows, tuple(range(k)), tuple(cols), {})
 
 
 def _minor(
-    matrix: Sequence[Sequence[MPoly]],
-    rows: tuple[int, ...],
+    rows: Sequence[Mapping[int, MPoly]],
+    ridx: tuple[int, ...],
     cols: tuple[int, ...],
     cache: dict[tuple[tuple[int, ...], tuple[int, ...]], MPoly],
 ) -> MPoly:
-    """Determinant of the submatrix ``rows`` x ``cols`` (equal, nonzero length)."""
-    if len(rows) == 1:
-        return matrix[rows[0]][cols[0]]
-    key = (rows, cols)
+    """Determinant of the rows ``rows[i]`` for i in ``ridx`` at the columns
+    ``cols`` (equal, nonzero length)."""
+    if len(ridx) == 1:
+        return rows[ridx[0]].get(cols[0], _ZERO)
+    key = (ridx, cols)
     if key in cache:
         return cache[key]
-    nnz = [sum(1 for j in cols if matrix[i][j]) for i in rows]
+    colset = set(cols)
+    nnz = [len(rows[i].keys() & colset) for i in ridx]
     p = nnz.index(min(nnz))
-    rest = rows[:p] + rows[p + 1 :]
+    row = rows[ridx[p]]
+    rest = ridx[:p] + ridx[p + 1 :]
     acc = MPoly()
     for q, j in enumerate(cols):
-        entry = matrix[rows[p]][j]
-        if not entry:
+        if j not in row:
             continue
-        sub = _minor(matrix, rest, cols[:q] + cols[q + 1 :], cache)
+        sub = _minor(rows, rest, cols[:q] + cols[q + 1 :], cache)
         if sub:
-            term = entry * sub
+            term = row[j] * sub
             acc = acc - term if (p + q) % 2 else acc + term
     cache[key] = acc
     return acc
@@ -185,15 +196,17 @@ def bordering_minors(
 
 
 def all_minors_zero(
-    matrix: Sequence[Sequence[MPoly]],
+    rows: Sequence[Mapping[int, MPoly]],
+    ncols: int,
     k: int,
     basis: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> tuple[bool, Optional[MinorWitness]]:
     """Check whether every k x k minor is the zero polynomial.
 
-    Returns ``(True, None)`` when all minors vanish identically, which
-    proves the symbolic rank is < k.  Otherwise returns ``(False,
-    witness)`` for the first nonzero minor found.
+    The matrix is ``rows``, one dict {column: nonzero MPoly} per row, over
+    the columns 0..``ncols``-1.  Returns ``(True, None)`` when all minors
+    vanish identically, which proves the symbolic rank is < k.  Otherwise
+    returns ``(False, witness)`` for the first nonzero minor found.
 
     ``basis = (rows, cols)`` names a (k-1) x (k-1) submatrix whose
     determinant is a nonzero polynomial (the caller's guarantee).  Then
@@ -207,39 +220,30 @@ def all_minors_zero(
     lexicographic order over that arrangement, so the witness is
     deterministic and structured matrices exit early.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    nrows = len(rows)
     if k < 0 or k > min(nrows, ncols):
         raise ValueError(f"no {k}x{k} minors in a {nrows}x{ncols} matrix")
     if k == 0:
         return False, MinorWitness((), (), MPoly.const(1))
 
     if basis is not None:
-        rows, cols = basis
-        for idx, bound in ((rows, nrows), (cols, ncols)):
+        basis_rows, basis_cols = basis
+        for idx, bound in ((basis_rows, nrows), (basis_cols, ncols)):
             if len(idx) != k - 1 or len(set(idx)) != k - 1 or not all(0 <= x < bound for x in idx):
                 raise ValueError(f"basis {basis} is not a {k - 1}x{k - 1} submatrix")
         subsets: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = bordering_minors(
             nrows, ncols, basis
         )
     else:
-
-        def nnz_row(i):
-            return sum(1 for p in matrix[i] if not p.is_zero())
-
-        def nnz_col(j):
-            return sum(1 for i in range(nrows) if not matrix[i][j].is_zero())
-
-        row_order = sorted(range(nrows), key=lambda i: (nnz_row(i), i))
-        col_order = sorted(range(ncols), key=lambda j: (nnz_col(j), j))
+        row_order = sorted(range(nrows), key=lambda i: (len(rows[i]), i))
+        col_order = sorted(range(ncols), key=lambda j: (sum(j in row for row in rows), j))
         subsets = (
             (tuple(sorted(rsel)), tuple(sorted(csel)))
             for rsel in combinations(row_order, k)
             for csel in combinations(col_order, k)
         )
     for rset, cset in subsets:
-        sub = [[matrix[i][j] for j in cset] for i in rset]
-        d = det(sub)
+        d = det([rows[i] for i in rset], cset)
         if not d.is_zero():
             return False, MinorWitness(rset, cset, d)
     return True, None

@@ -61,9 +61,6 @@ class Complex:
                 return c
         return 0
 
-    def species_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.coeffs)
-
     def render(self, species: Sequence[str]) -> str:
         if not self.coeffs:
             return "0"

@@ -17,10 +17,11 @@ not in s x n.  Each target rank is tested at random integer points,
 straight from the integer matrices: a sample's rank modulo the prime
 2^61 - 1 never exceeds its exact rank, so reaching the target proves it,
 and exact rational elimination decides every other sample.  Only if
-every sample falls short is the polynomial matrix built, densely, over
-the variables u_t (index t) and h_j (index u_dim + j): the best sample
-has rank rho and a nonsingular rho x rho submatrix; its bordering
-(rho+1)-minors either all vanish, which proves the rank is rho
+every sample falls short is the polynomial matrix built, in the same
+sparse rows with MPoly entries, over the variables u_t (index t) and h_j
+(index u_dim + j): the best sample has rank rho and a nonsingular
+rho x rho submatrix; its bordering (rho+1)-minors, each read from the
+rows it lists, either all vanish, which proves the rank is rho
 everywhere (Kronecker's theorem, a symbolic certificate), or one of them
 is a nonzero polynomial that drives the sampling to a point of higher
 rank, until the target is reached.  When the first matrix is rank
@@ -199,30 +200,30 @@ def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
     return lambda u, h: jacobian(mats, combine(u), h) + w_rows
 
 
-def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int], cols: int) -> list[list[MPoly]]:
-    """The matrix at the variables u1.. (and h1..), dense, every entry an MPoly.
+def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int]) -> list[dict[int, MPoly]]:
+    """The matrix at the variables u1.. (and h1..), in the samples' sparse rows.
 
     u_t is variable t and h_j is variable u_dim + j, so a polynomial entry
-    evaluates at the concatenated sample ``u_vals + h_vals``.  The minors
-    of the certificate path read this dense form; samples never need it.
+    evaluates at the concatenated sample ``u_vals + h_vals``.  Entries
+    that do not depend on the variables (the rows of W) are wrapped in
+    ``MPoly.const``; every row keeps only its nonzero entries.
     """
     u = [MPoly.var(t) for t in range(u_dim)]
     h = None if h_dim is None else [MPoly.var(u_dim + j) for j in range(h_dim)]
-    zero = MPoly.const(0)
     return [
-        [x if isinstance(x := row.get(j, zero), MPoly) else MPoly.const(x) for j in range(cols)]
+        {j: x if isinstance(x, MPoly) else MPoly.const(x) for j, x in row.items()}
         for row in matrix(u, h)
     ]
 
 
-def symbolic_jacobian_f(mats: NetworkMatrices, g: RatMatrix) -> list[list[MPoly]]:
-    """The s x n matrix N diag(Gu) B^T, entries linear in u."""
-    return _symbolic(f_test_matrix(mats, g), g.cols, None, mats.n)
+def symbolic_jacobian_f(mats: NetworkMatrices, g: RatMatrix) -> list[dict[int, MPoly]]:
+    """The s x n matrix N diag(Gu) B^T, entries linear in u, one dict per row."""
+    return _symbolic(f_test_matrix(mats, g), g.cols, None)
 
 
-def symbolic_jacobian_F(mats: NetworkMatrices, g: RatMatrix) -> list[list[MPoly]]:
-    """The n x n matrix [N diag(Gu) B^T diag(h); W]."""
-    return _symbolic(F_test_matrix(mats, g), g.cols, mats.n, mats.n)
+def symbolic_jacobian_F(mats: NetworkMatrices, g: RatMatrix) -> list[dict[int, MPoly]]:
+    """The n x n matrix [N diag(Gu) B^T diag(h); W], one dict per row."""
+    return _symbolic(F_test_matrix(mats, g), g.cols, mats.n)
 
 
 # -- randomized rank test -------------------------------------------------
@@ -368,12 +369,12 @@ def generic_rank_test(
     # no sample reaches a target above the matrix's size, so checking here covers it
     if target > min(evaluated.rows, evaluated.cols):
         raise ValueError(f"target rank {target} out of range for {evaluated.rows}x{evaluated.cols}")
-    symbolic = _symbolic(matrix, u_dim, h_dim, cols)
+    symbolic = _symbolic(matrix, u_dim, h_dim)
     while True:
         # the sample's row-rank profile and pivot columns: a nonsingular
         # rank x rank submatrix, from the elimination that ranked the sample
         basis = (evaluated.row_profile(), evaluated.rref()[1])
-        vanish, witness = all_minors_zero(symbolic, rank + 1, basis=basis)
+        vanish, witness = all_minors_zero(symbolic, cols, rank + 1, basis=basis)
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,

@@ -113,18 +113,6 @@ class RatMatrix:
         return cls(nrows, ncols, [_nonzeros(enumerate(row)) for row in rows])
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "RatMatrix":
-        ncols = len(columns)
-        if ncols == 0:
-            if rows is None:
-                raise ValueError("row count required for a matrix with no columns")
-            return cls(rows, 0, [{} for _ in range(rows)])
-        nrows = len(columns[0]) if rows is None else rows
-        if any(len(col) != nrows for col in columns):
-            raise ValueError("ragged columns")
-        return cls(ncols, nrows, [_nonzeros(enumerate(col)) for col in columns]).transpose()
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, [{} for _ in range(rows)])
 
@@ -145,9 +133,6 @@ class RatMatrix:
     def entries(self, i: int) -> dict[int, Fraction]:
         """The nonzero entries of row i as a new dict {column: value}."""
         return dict(self._entries[i])
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return not any(self._entries)

@@ -114,7 +114,7 @@ def raw_matrices(draw) -> NetworkMatrices:
         [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n - s)], cols=n
     )
     assume(n_mat.rank() == s and not n_mat.is_integral())
-    assume(w_mat.rank() == n - s and any(x < 0 for row in b.to_rows() for x in row))
+    assume(w_mat.rank() == n - s and any(x < 0 for i in range(n) for x in b.row(i)))
     return NetworkMatrices.from_matrices(n_mat, b, w_mat)
 
 

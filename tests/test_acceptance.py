@@ -34,6 +34,7 @@ from conftest import (
     CALCIUM_B,
     CALCIUM_GAMMA,
     cofactor_det,
+    dict_rows,
     fixture_path,
     parse_certificate,
     random_network,
@@ -71,8 +72,8 @@ def _random_point(rng, u_dim, h_dim=None):
 
 
 def _eval_rank(matrix, point, ncols):
-    rows = [[p.eval(point) for p in row] for row in matrix]
-    return RatMatrix.from_rows(rows, cols=ncols).rank()
+    rows = [{j: p.eval(point) for j, p in row.items()} for row in matrix]
+    return RatMatrix.from_entries(len(rows), ncols, rows).rank()
 
 
 def test_criterion_1_calcium_exact(capsys):
@@ -127,8 +128,8 @@ def test_criterion_2_rank_deficient_network(capsys):
     jac = symbolic_jacobian_f(mats, mats.n_mat.kernel_basis())
     assert jac[cert.rows[0]][cert.cols[0]].eval(cert.u) != 0
     for rows, cols in cert.minors:
-        assert det([[jac[i][j] for j in cols] for i in rows]).is_zero()
-    assert det(jac).is_zero()
+        assert det([jac[i] for i in rows], cols).is_zero()
+    assert det(jac, range(mats.n)).is_zero()
     assert report.conclusion_f is VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
     text = cli.render_report_text(report)
     assert "conclusion_f: empty or higher-dimensional for almost all rate constants" in text
@@ -266,7 +267,7 @@ def test_criterion_5c_symbolic_vs_rational_determinant(capsys):
     for _ in range(30):
         k = rng.randint(1, 4)
         matrix = [[rand_poly() for _ in range(k)] for _ in range(k)]
-        sym = det(matrix)
+        sym = det(dict_rows(matrix), range(k))
         for _ in range(10):
             point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in pool]
             evaluated = [[p.eval(point) for p in row] for row in matrix]

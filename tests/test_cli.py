@@ -282,6 +282,30 @@ def test_usage_error_on_bad_retries(capsys):
     assert "retries" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", CALCIUM, "--retries", "abc"], "argument --retries: invalid int value: 'abc'"),
+        (["check-point", CALCIUM], "the following arguments are required: --kappa, --x"),
+        (["analyze", CALCIUM, "--frob"], "unrecognized arguments: --frob"),
+    ],
+)
+def test_command_line_errors_are_usage_errors(capsys, argv, message):
+    # exit 1 like every other usage error, returned rather than raised
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: steadydim")
+    assert f"error: {message}" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: steadydim analyze")
+
+
 @pytest.mark.parametrize("option", [("--retries", "0"), ("--bound", "1")])
 def test_batch_mode_bad_option_is_one_usage_error(tmp_path, capsys, option):
     (tmp_path / "a_calcium.crn").write_text(fixture_path("calcium.crn").read_text())

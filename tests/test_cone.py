@@ -23,7 +23,7 @@ def sympy_cone_feasible(m: RatMatrix) -> bool:
     Uses the substitution v = w - 1 and encodes the equality as a pair of
     inequalities (sympy's exact simplex with default v >= 0 bounds).
     """
-    rows = m.to_rows()
+    rows = [m.row(i) for i in range(m.rows)]
     rhs = [-sum(row) for row in rows]
     a = [list(row) for row in rows] + [[-x for x in row] for row in rows]
     b = rhs + [-x for x in rhs]

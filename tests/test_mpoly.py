@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from steadydim.mpoly import MinorWitness, MPoly, all_minors_zero, det
 
-from conftest import cofactor_det
+from conftest import cofactor_det, dict_rows
 
 # variables u1, u2, h1 are 0, 1, 2
 U1, U2, H1 = 0, 1, 2
@@ -90,22 +92,27 @@ def test_det_constant_matches_cofactor_oracle():
         k = rng.randint(1, 4)
         const_rows = [[Fraction(rng.randint(-5, 5)) for _ in range(k)] for _ in range(k)]
         m = [[MPoly.const(x) for x in row] for row in const_rows]
-        assert det(m).eval([]) == cofactor_det(const_rows)
+        assert det(dict_rows(m), range(k)).eval([]) == cofactor_det(const_rows)
 
 
 def test_det_diagonal():
     m = [[u(0), MPoly()], [MPoly(), h(0)]]
-    assert det(m) == u(0) * h(0)
+    assert det(dict_rows(m), (0, 1)) == u(0) * h(0)
 
 
 def test_det_duplicate_row_is_zero():
     row = [u(0), h(0, 2), MPoly.const(1)]
     m = [row, [u(1), h(0), u(0)], row]
-    assert det(m).is_zero()
+    assert det(dict_rows(m), (0, 1, 2)).is_zero()
 
 
 def test_det_empty_matrix_is_one():
-    assert det([]) == MPoly.const(1)
+    assert det([], ()) == MPoly.const(1)
+
+
+def test_det_rejects_a_non_square_selection():
+    with pytest.raises(ValueError):
+        det(dict_rows([[u(0), u(1)]]), (0, 1))
 
 
 def test_ring_axioms_randomized():
@@ -124,7 +131,7 @@ def test_det_eval_agreement():
     for _ in range(10):
         k = rng.randint(1, 4)
         m = [[random_poly(rng) for _ in range(k)] for _ in range(k)]
-        sym = det(m)
+        sym = det(dict_rows(m), range(k))
         evaluated = [[entry.eval(point) for entry in row] for row in m]
         assert sym.eval(point) == cofactor_det(evaluated)
 
@@ -132,7 +139,7 @@ def test_det_eval_agreement():
 def test_all_minors_zero_identity():
     n = 3
     ident = [[MPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    ok, witness = all_minors_zero(ident, n)
+    ok, witness = all_minors_zero(dict_rows(ident), n, n)
     assert not ok
     assert witness.poly == MPoly.const(1)
     assert witness.rows == (0, 1, 2)
@@ -147,25 +154,25 @@ def test_all_minors_zero_rank_one_scaled():
         [a, -a, -a],
         [a, -a, -a],
     ]
-    ok3, _ = all_minors_zero(m, 3)
+    ok3, _ = all_minors_zero(dict_rows(m), 3, 3)
     assert ok3
-    ok2, _ = all_minors_zero(m, 2)
+    ok2, _ = all_minors_zero(dict_rows(m), 3, 2)
     assert ok2
-    ok1, witness = all_minors_zero(m, 1)
+    ok1, witness = all_minors_zero(dict_rows(m), 3, 1)
     assert not ok1
     assert not witness.poly.is_zero()
 
 
 def test_all_minors_zero_witness_row_vector():
     m = [[u(0, 2) - u(1, 2), MPoly()]]
-    ok, witness = all_minors_zero(m, 1)
+    ok, witness = all_minors_zero(dict_rows(m), 2, 1)
     assert not ok
     assert witness == MinorWitness((0,), (0,), u(0, 2) - u(1, 2))
 
 
 def test_all_minors_zero_bad_k():
     with pytest.raises(ValueError):
-        all_minors_zero([[u(0)]], 2)
+        all_minors_zero(dict_rows([[u(0)]]), 1, 2)
 
 
 def _linear_form(rng: random.Random) -> MPoly:
@@ -196,7 +203,26 @@ def test_det_agrees_with_sympy():
     for m in cases:
         k = len(m)
         entries = [[ring.from_sympy(_to_sympy(p)) for p in row] for row in m]
-        assert ring.from_sympy(_to_sympy(det(m))) == DomainMatrix(entries, (k, k), ring).det()
+        sym = det(dict_rows(m), range(k))
+        assert ring.from_sympy(_to_sympy(sym)) == DomainMatrix(entries, (k, k), ring).det()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 3))
+def test_det_of_a_column_subset_matches_sympy(seed, k, extra):
+    # sparse rows over k + extra columns, each with a nonzero entry outside
+    # ``cols``; ``cols`` in any order, so the sign of the permutation counts
+    rng = random.Random(seed)
+    ncols = k + extra
+    cols = rng.sample(range(ncols), k)
+    outside = [j for j in range(ncols) if j not in cols]
+    m = [[_linear_form(rng) if rng.random() < 0.6 else MPoly() for _ in range(ncols)] for _ in range(k)]
+    for row in m:
+        row[rng.choice(outside)] = _dense_linear_form(rng)
+    ring = sympy.QQ[sympy.symbols("u1 u2 h1")]
+    entries = [[ring.from_sympy(_to_sympy(row[j])) for j in cols] for row in m]
+    sym = det(dict_rows(m), cols)
+    assert ring.from_sympy(_to_sympy(sym)) == DomainMatrix(entries, (k, k), ring).det()
 
 
 def test_det_dense_singular_8x8_stays_within_the_cache_bound(monkeypatch):
@@ -213,7 +239,7 @@ def test_det_dense_singular_8x8_stays_within_the_cache_bound(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(MPoly, "__mul__", counting_mul)
-    assert det(m).is_zero()
+    assert det(dict_rows(m), range(8)).is_zero()
     # one product per (entry, cached minor); plain cofactor expansion needs about 8!
     assert 0 < products <= 8 * 2**7
 
@@ -231,19 +257,20 @@ def test_all_minors_zero_bordering_agrees_with_full_scan():
             [sum((a[i][t] * b[t][j] for t in range(inner)), MPoly()) for j in range(ncols)]
             for i in range(nrows)
         ]
+        rows = dict_rows(m)
         for k in range(1, min(nrows, ncols) + 1):
-            none_below, base = all_minors_zero(m, k - 1)
+            none_below, base = all_minors_zero(rows, ncols, k - 1)
             if none_below:
                 continue  # no nonsingular (k-1)-submatrix to border
-            full, _ = all_minors_zero(m, k)
-            ok, witness = all_minors_zero(m, k, basis=(base.rows, base.cols))
+            full, _ = all_minors_zero(rows, ncols, k)
+            ok, witness = all_minors_zero(rows, ncols, k, basis=(base.rows, base.cols))
             assert ok == full
             decided[ok] += 1
             if not ok:
                 assert set(base.rows) < set(witness.rows)
                 assert set(base.cols) < set(witness.cols)
                 sub = [[m[i][j] for j in witness.cols] for i in witness.rows]
-                assert witness.poly == det(sub) and not witness.poly.is_zero()
+                assert witness.poly == det(dict_rows(sub), range(k)) and not witness.poly.is_zero()
     assert decided[True] > 0 and decided[False] > 0
 
 
@@ -251,5 +278,5 @@ def test_all_minors_zero_rejects_bad_basis():
     m = [[u(0), u(1)], [u(1), u(0)]]
     for basis in (((0,), ()), ((0, 1), (0, 1)), ((2,), (0,)), ((0,), (-1,))):
         with pytest.raises(ValueError):
-            all_minors_zero(m, 2, basis=basis)
+            all_minors_zero(dict_rows(m), 2, 2, basis=basis)
 

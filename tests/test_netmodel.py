@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steadydim.netmodel import (
     Complex,
@@ -160,6 +162,36 @@ def test_render_round_trip_random():
         assert parse_network(net.render()) == net
 
 
+# Parser fuzzing over the grammar's alphabet (A B 0-9 + * -> <-> ; , #,
+# whitespace, newlines): lines that follow the grammar, lines that nearly do
+# (zero coefficients, identical complexes, repeated labels) and junk.
+_NAME = st.sampled_from(["A", "B", "AB", "A1", "B20"])
+_LABEL = st.builds("{}{}".format, st.sampled_from("AB"), st.integers(0, 99))
+_TERM = st.builds("{}{}".format, st.sampled_from(["", "1 ", "2", "10 ", "3*", "2 * ", "0 "]), _NAME)
+_COMPLEX = st.one_of(st.just("0"), st.lists(_TERM, min_size=1, max_size=3).map(" + ".join))
+_IRREVERSIBLE = st.builds(
+    "{} -> {}{}".format, _COMPLEX, _COMPLEX, st.one_of(st.just(""), _LABEL.map(" ; {}".format))
+)
+_REVERSIBLE = st.builds(
+    "{} <-> {}{}".format, _COMPLEX, _COMPLEX, st.one_of(st.just(""), st.builds(" ; {}, {}".format, _LABEL, _LABEL))
+)
+_JUNK = st.lists(
+    st.sampled_from(["A", "B", "0", "1", "9", "+", "*", "->", "<->", ";", ",", "#", " ", "\t", "-", "<", ">"]),
+    max_size=12,
+).map("".join)
+_LINE = st.one_of(_IRREVERSIBLE, _REVERSIBLE, _IRREVERSIBLE.map("{}  # A -> B".format), _JUNK, st.just(""))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_LINE, max_size=6).map("\n".join))
+def test_parser_fuzz_raises_parse_error_or_round_trips(text):
+    try:
+        net = parse_network(text)
+    except ParseError:
+        return
+    assert parse_network(net.render()) == net
+
+
 def test_matrix_invariants_random():
     rng = random.Random(78)
     for _ in range(40):
@@ -171,7 +203,7 @@ def test_matrix_invariants_random():
             total_reactant = sum(c for _, c in rx.reactant.coeffs)
             assert sum(mats.gamma.column(j)) == total_product - total_reactant
             assert mats.b.column(j) == tuple(rx.reactant.coefficient(i) for i in range(mats.n))
-        assert all(x >= 0 for row in mats.b.to_rows() for x in row)
+        assert all(x >= 0 for i in range(mats.n) for x in mats.b.row(i))
         assert mats.gamma.vstack(mats.n_mat).rank() == mats.s
         assert mats.w_mat.rank() == mats.n - mats.s
         assert (mats.w_mat @ mats.gamma).is_zero()

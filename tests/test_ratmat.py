@@ -247,7 +247,7 @@ def from_sympy(sm: sympy.Matrix) -> RatMatrix:
 
 def primitive_columns(vectors, length: int) -> RatMatrix:
     cols = [primitive(from_sympy(v).column(0)) for v in vectors]
-    return RatMatrix.from_columns(cols, rows=length)
+    return RatMatrix.from_rows(cols, cols=length).transpose()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -283,8 +283,9 @@ def test_sparse_products_agree_with_sympy(a, data):
     assert a @ b == from_sympy(sa * sb)
     expected = sa * sympy.Matrix(a.cols, 1, [sympy.Rational(x) for x in vec])
     assert a.mul_vec(vec) == tuple(Fraction(int(x.p), int(x.q)) for x in expected)
-    assert a.vstack(a).to_rows() == a.to_rows() + a.to_rows()
-    assert hash(a) == hash(RatMatrix.from_rows(a.to_rows(), cols=a.cols))
+    rows = [a.row(i) for i in range(a.rows)]
+    assert [a.vstack(a).row(i) for i in range(2 * a.rows)] == rows + rows
+    assert hash(a) == hash(RatMatrix.from_rows(rows, cols=a.cols))
 
 
 def test_from_entries_drops_zeros_and_checks_indices():
