@@ -10,18 +10,16 @@ Subcommands:
 Exit codes: 0 success (whatever the verdict), 1 parse/usage error or
 unreadable input (or, in directory mode, a directory without .crn files
 or any file that could not be analyzed), 2 internal error.  ``--seed``
-falls back to the STEADYDIM_SEED environment variable, then 0; with a
-fixed seed the JSON output is byte-identical across runs.  Rationals
-are serialized as strings "p/q" to avoid any precision loss.
+(default 0) is the only sampler setting: with a fixed seed the JSON
+output is byte-identical across runs.  Rationals are serialized as
+strings "p/q" to avoid any precision loss.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -272,29 +270,6 @@ def render_check_text(mats: NetworkMatrices, chk: SteadyStateCheck) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STEADYDIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"STEADYDIM_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _config_from_args(args, seed: int) -> SamplerConfig:
-    try:
-        return SamplerConfig(
-            seed=seed,
-            retries=args.retries,
-            sample_bound=args.bound,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _read_network(path: Path) -> ReactionNetwork:
     try:
         text = path.read_text(encoding="utf-8")
@@ -305,10 +280,9 @@ def _read_network(path: Path) -> ReactionNetwork:
 
 def cmd_analyze(args) -> int:
     path = Path(args.path)
-    cfg = _config_from_args(args, _resolve_seed(args))
     if path.is_dir():
-        return _analyze_batch(path, cfg)
-    report = analyze(_read_network(path), cfg)
+        return _analyze_batch(path, args.seed)
+    report = analyze(_read_network(path), SamplerConfig(seed=args.seed))
     if args.json:
         print(json.dumps(report_to_dict(report)))
     else:
@@ -316,16 +290,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _analyze_batch(directory: Path, cfg: SamplerConfig) -> int:
+def _analyze_batch(directory: Path, seed: int) -> int:
     """One JSON-lines record per .crn file, in sorted path order.
 
     Per-file RNG streams are derived from (seed, file name), so records
     do not depend on processing order or on the directory's location.
-    ``cfg`` was validated once by the caller, so a bad option is one
-    usage error, not an error record per file.  A file that fails for
-    any reason becomes a ``{"path", "error"}`` record; the rest are still
-    analyzed and the exit code is 1.  A directory with no .crn file is a
-    usage error, so that a mistyped directory does not pass as a clean run.
+    A file that fails for any reason becomes a ``{"path", "error"}``
+    record; the rest are still analyzed and the exit code is 1.  A
+    directory with no .crn file is a usage error, so that a mistyped
+    directory does not pass as a clean run.
     """
     paths = sorted(directory.glob("*.crn"))
     if not paths:
@@ -334,7 +307,7 @@ def _analyze_batch(directory: Path, cfg: SamplerConfig) -> int:
     for path in paths:
         record: dict = {"path": str(path)}
         try:
-            report = analyze(_read_network(path), replace(cfg, seed=derive_seed(cfg.seed, path.name)))
+            report = analyze(_read_network(path), SamplerConfig(seed=derive_seed(seed, path.name)))
             record.update(report_to_dict(report))
         except (ParseError, UsageError, OSError) as exc:
             record["error"] = str(exc)
@@ -411,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="analyze a .crn file (or every .crn in a directory)")
     p_analyze.add_argument("path")
     p_analyze.add_argument("--json", action="store_true", help="emit the JSON report")
-    p_analyze.add_argument("--seed", type=int, default=None, help="RNG seed (default: STEADYDIM_SEED or 0)")
-    p_analyze.add_argument("--retries", type=int, default=5, help="samples before the symbolic fallback")
-    p_analyze.add_argument("--bound", type=int, default=65536, help="sampling bound H")
+    p_analyze.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_matrices = sub.add_parser("matrices", help="print gamma, b, n_mat, w_mat")

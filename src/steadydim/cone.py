@@ -135,9 +135,6 @@ def positive_kernel_vector(n_mat: RatMatrix) -> ConeResult:
     r = n_mat.cols
     if r < 1:
         raise ValueError("cone feasibility needs at least one column")
-    if n_mat.rows == 0:
-        return ConeResult(ConeStatus.POSITIVE_VECTOR_EXISTS, (_ONE,) * r)
-
     a_rows = [n_mat.entries(i) for i in range(n_mat.rows)]
     rhs = [-sum(row.values(), _ZERO) for row in a_rows]
     optimum, v = _phase_one_simplex(a_rows, rhs, r)

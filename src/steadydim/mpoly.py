@@ -137,36 +137,43 @@ def det(rows: Sequence[Mapping[int, MPoly]], cols: Sequence[int]) -> MPoly:
         raise ValueError(f"determinant of a {k}x{len(cols)} matrix")
     if k == 0:
         return MPoly.const(1)
-    return _minor(rows, tuple(range(k)), tuple(cols), {})
+    if k == 1:
+        return rows[0].get(cols[0], _ZERO)
+    colset = set(cols)
+    nnz = [len(row.keys() & colset) for row in rows]
+    return _minor(rows, tuple(range(k)), tuple(cols), nnz, {})
 
 
 def _minor(
     rows: Sequence[Mapping[int, MPoly]],
     ridx: tuple[int, ...],
     cols: tuple[int, ...],
+    nnz: list[int],
     cache: dict[tuple[tuple[int, ...], tuple[int, ...]], MPoly],
 ) -> MPoly:
     """Determinant of the rows ``rows[i]`` for i in ``ridx`` at the columns
-    ``cols`` (equal, nonzero length)."""
+    ``cols`` (equal, nonzero length); ``nnz[t]`` is the number of entries
+    of ``rows[ridx[t]]`` in ``cols``.  Sub-minors go through ``cache``."""
     if len(ridx) == 1:
         return rows[ridx[0]].get(cols[0], _ZERO)
-    key = (ridx, cols)
-    if key in cache:
-        return cache[key]
-    colset = set(cols)
-    nnz = [len(rows[i].keys() & colset) for i in ridx]
     p = nnz.index(min(nnz))
     row = rows[ridx[p]]
     rest = ridx[:p] + ridx[p + 1 :]
+    rest_nnz = nnz[:p] + nnz[p + 1 :]
     acc = MPoly()
     for q, j in enumerate(cols):
         if j not in row:
             continue
-        sub = _minor(rows, rest, cols[:q] + cols[q + 1 :], cache)
+        sub_cols = cols[:q] + cols[q + 1 :]
+        key = (rest, sub_cols)
+        sub = cache.get(key)
+        if sub is None:
+            # dropping column j lowers the count of each row that holds it
+            sub_nnz = [c - (j in rows[i]) for c, i in zip(rest_nnz, rest)]
+            sub = cache[key] = _minor(rows, rest, sub_cols, sub_nnz, cache)
         if sub:
             term = row[j] * sub
             acc = acc - term if (p + q) % 2 else acc + term
-    cache[key] = acc
     return acc
 
 

@@ -167,7 +167,10 @@ def _parse_complex(cur: _Cursor) -> list[tuple[str, int, int]]:
             raise cur.error("expected a complex term")
         if tok[0] == "int":
             cur.next()
-            coef = int(tok[1])
+            try:
+                coef = int(tok[1])
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise cur.error(f"coefficient of {len(tok[1])} digits is too long", tok) from None
             if coef == 0:
                 raise cur.error("zero coefficient in complex", tok)
             nxt = cur.peek()

@@ -50,6 +50,10 @@ from .ratmat import RatMatrix, rank_mod_p
 
 _ONE = Fraction(1)
 
+# samples drawn before the bordering-minor loop, and the bound H of their
+# components: constants, since every verdict is proved whatever they are
+_RETRIES = 5
+_SAMPLE_BOUND = 65536
 # samples per round when hunting a nonzero value of a known nonzero minor;
 # the sample bound doubles between rounds
 _PIT_BUDGET = 100
@@ -65,27 +69,18 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs of the randomized rank test.
+    """Settings of the randomized rank test, which draws ``_RETRIES``
+    samples first, components from [-H, H] (u, zero excluded) or [1, H]
+    (h), H = ``_SAMPLE_BOUND``.
 
     seed: base RNG seed; every derived stream is a pure function of it.
-    retries: samples drawn before falling back to the bordering-minor loop.
-    sample_bound: H; components are drawn from [-H, H] (u, zero excluded)
-        or [1, H] (h).
     hard_cap: optional absolute cap on minor-hunt samples (off by default;
         the hunt draws rounds of ``_PIT_BUDGET`` samples and doubles H
         between rounds, so it cannot stall for a nonzero polynomial).
     """
 
     seed: int = 0
-    retries: int = 5
-    sample_bound: int = 65536
     hard_cap: Optional[int] = None
-
-    def __post_init__(self):
-        if self.retries < 1:
-            raise ValueError("retries must be >= 1")
-        if self.sample_bound < 2:
-            raise ValueError("sample_bound must be >= 2")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -284,7 +279,7 @@ def generic_rank_test(
     matrix at integer u and h, and the polynomial matrix is the same
     function at the variables u1.., h1...
 
-    Up to ``cfg.retries`` samples first.  A sample is ranked modulo the
+    Up to ``_RETRIES`` samples first.  A sample is ranked modulo the
     prime ``ratmat.MODULUS`` first: that rank never exceeds the exact
     rank, so when it reaches ``target`` the sample is a proven witness
     without rational arithmetic.  Every other sample is row-reduced once
@@ -335,7 +330,7 @@ def generic_rank_test(
         evaluated = RatMatrix.from_entries(len(rows), cols, rows)
         return evaluated.rank(), evaluated
 
-    bound = cfg.sample_bound
+    bound = _SAMPLE_BOUND
     samples = hunted = 0
 
     def hunt(witness: MinorWitness):
@@ -356,7 +351,7 @@ def generic_rank_test(
             bound *= 2
 
     best = None  # (rank, evaluated matrix, u_vals, h_vals) of the best sample
-    for _ in range(cfg.retries):
+    for _ in range(_RETRIES):
         u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
         rank, evaluated = evaluate(u_vals, h_vals)

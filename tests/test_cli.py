@@ -2,6 +2,7 @@ import gc
 import json
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +95,23 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_analyze_overlong_coefficient_is_a_parse_error(tmp_path, capsys):
+    # a coefficient past the interpreter's int-string limit, where it has one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bad = tmp_path / "long.crn"
+    bad.write_text("X -> Y ; k1\nY -> " + "1" * (max(limit, 4300) + 1) + " X ; k2\n")
+    code, _, err = run_cli(capsys, "analyze", str(bad))
+    if not limit:
+        assert code == 0
+        return
+    assert code == 1
+    assert err.startswith("error: line 2, column 6:") and "internal error" not in err
+    # and in batch mode a plain error record
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("line 2, column 6:")
+
+
 def test_analyze_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "analyze", CALCIUM, "--json", "--seed", "11")
     assert code == 0
@@ -112,17 +130,6 @@ def test_analyze_json_deterministic(capsys):
     assert out1 == out2
     _, out3, _ = run_cli(capsys, "analyze", CALCIUM, "--json", "--seed", "6")
     assert json.loads(out3)["conclusions"] == json.loads(out1)["conclusions"]
-
-
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("STEADYDIM_SEED", "5")
-    _, out_env, _ = run_cli(capsys, "analyze", CALCIUM, "--json")
-    _, out_flag, _ = run_cli(capsys, "analyze", CALCIUM, "--json", "--seed", "5")
-    assert out_env == out_flag
-    monkeypatch.setenv("STEADYDIM_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "analyze", CALCIUM)
-    assert code == 1
-    assert "STEADYDIM_SEED" in err
 
 
 def test_matrices_calcium(capsys):
@@ -276,18 +283,15 @@ def test_text_and_json_agree_on_verdicts_and_witnesses(capsys):
     assert "cone witness: " + " ".join(payload["cone"]["witness"]) in text
 
 
-def test_usage_error_on_bad_retries(capsys):
-    code, _, err = run_cli(capsys, "analyze", CALCIUM, "--retries", "0")
-    assert code == 1
-    assert "retries" in err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["analyze", CALCIUM, "--retries", "abc"], "argument --retries: invalid int value: 'abc'"),
+        (["analyze", CALCIUM, "--seed", "abc"], "argument --seed: invalid int value"),
         (["check-point", CALCIUM], "the following arguments are required: --kappa, --x"),
         (["analyze", CALCIUM, "--frob"], "unrecognized arguments: --frob"),
+        # the sampler's retry count and bound are constants, not options
+        (["analyze", CALCIUM, "--retries", "3"], "unrecognized arguments: --retries 3"),
+        (["analyze", CALCIUM, "--bound", "9"], "unrecognized arguments: --bound 9"),
     ],
 )
 def test_command_line_errors_are_usage_errors(capsys, argv, message):
@@ -306,14 +310,14 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: steadydim analyze")
 
 
-@pytest.mark.parametrize("option", [("--retries", "0"), ("--bound", "1")])
+@pytest.mark.parametrize("option", [("--seed", "abc"), ("--retries", "3")])
 def test_batch_mode_bad_option_is_one_usage_error(tmp_path, capsys, option):
     (tmp_path / "a_calcium.crn").write_text(fixture_path("calcium.crn").read_text())
     (tmp_path / "b_quadratic.crn").write_text(fixture_path("example46.crn").read_text())
     code, out, err = run_cli(capsys, "analyze", str(tmp_path), *option)
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.startswith("usage: steadydim") and err.count("\nerror: ") == 1
     assert "internal error" not in err
 
 

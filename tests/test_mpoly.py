@@ -225,11 +225,8 @@ def test_det_of_a_column_subset_matches_sympy(seed, k, extra):
     assert ring.from_sympy(_to_sympy(sym)) == DomainMatrix(entries, (k, k), ring).det()
 
 
-def test_det_dense_singular_8x8_stays_within_the_cache_bound(monkeypatch):
-    # dense linear forms; the last row is the sum of the first two
-    rng = random.Random(8)
-    m = [[_dense_linear_form(rng) for _ in range(8)] for _ in range(7)]
-    m.append([a + b for a, b in zip(m[0], m[1])])
+def _det_counting_products(monkeypatch, rows, cols):
+    """``det(rows, cols)`` and the number of MPoly products it made."""
     products = 0
     mul = MPoly.__mul__
 
@@ -238,10 +235,35 @@ def test_det_dense_singular_8x8_stays_within_the_cache_bound(monkeypatch):
         products += 1
         return mul(self, other)
 
-    monkeypatch.setattr(MPoly, "__mul__", counting_mul)
-    assert det(dict_rows(m), range(8)).is_zero()
+    with monkeypatch.context() as patch:
+        patch.setattr(MPoly, "__mul__", counting_mul)
+        d = det(rows, cols)
+    return d, products
+
+
+def test_det_dense_singular_8x8_stays_within_the_cache_bound(monkeypatch):
+    # dense linear forms; the last row is the sum of the first two
+    rng = random.Random(8)
+    m = [[_dense_linear_form(rng) for _ in range(8)] for _ in range(7)]
+    m.append([a + b for a, b in zip(m[0], m[1])])
+    d, products = _det_counting_products(monkeypatch, dict_rows(m), range(8))
+    assert d.is_zero()
     # one product per (entry, cached minor); plain cofactor expansion needs about 8!
     assert 0 < products <= 8 * 2**7
+
+
+def test_det_block_diagonal_with_interleaved_rows_expands_block_by_block(monkeypatch):
+    # two dense 6x6 blocks, on columns 0-5 and 6-11, with the rows of the
+    # matrix alternating between them: choosing the sparsest remaining row
+    # finishes one block's minors before mixing in the other's, where a
+    # fixed row order caches minors over both blocks (5 538 products)
+    rng = random.Random(12)
+    blocks = [[[_dense_linear_form(rng) for _ in range(6)] for _ in range(6)] for _ in range(2)]
+    rows = [{6 * (i % 2) + j: x for j, x in enumerate(blocks[i % 2][i // 2])} for i in range(12)]
+    d, products = _det_counting_products(monkeypatch, rows, range(12))
+    # moving the odd rows below the even ones takes 15 transpositions
+    assert d == -(det(dict_rows(blocks[0]), range(6)) * det(dict_rows(blocks[1]), range(6)))
+    assert 0 < products <= 2 * 6 * 2**5
 
 
 def test_all_minors_zero_bordering_agrees_with_full_scan():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,21 @@ def test_parse_rejects_unknown_token():
 def test_parse_rejects_zero_coefficient():
     with pytest.raises(ParseError):
         parse_network("0 X -> Y ; k1")
+
+
+def test_parse_rejects_a_coefficient_past_the_int_string_limit():
+    # the limit exists from Python 3.11 (and 3.10.7) on; without it, or with
+    # it switched off (0), the coefficient is just a large int
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = "1" * (max(limit, 4300) + 1)
+    text = f"X -> Y ; k1\nY -> {digits} X ; k2"
+    if not limit:
+        assert parse_network(text).reactions[1].product.coeffs == ((0, int(digits)),)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert (err.value.line, err.value.column) == (2, 6)
+    assert "too long" in err.value.message
 
 
 def test_parse_rejects_missing_arrow():

@@ -258,43 +258,37 @@ def test_generic_rank_all_degenerate_with_certificate():
 
 
 def test_generic_rank_minor_hunt_path():
-    # single entry u1 + u2: vanishes at the scripted first sample, then the
-    # minor scan finds it nonzero and the hunt locates a witness
+    # single entry u1 + u2: vanishes at the five scripted first samples, then
+    # the minor scan finds it nonzero and the hunt locates a witness
     matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
-    rng = ScriptedRng([1, -1, 2, 3])
-    verdict = generic_rank_test(
-        matrix, 1, SamplerConfig(seed=0, retries=1), u_dim=2, cols=1, rng=rng
-    )
+    rng = ScriptedRng([1, -1] * 5 + [2, 3])
+    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=0), u_dim=2, cols=1, rng=rng)
     assert verdict.nondegenerate
-    assert verdict.samples_tried == 2
+    assert verdict.samples_tried == 6
     assert verdict.witness_u == (2, 3)
 
 
 def test_generic_rank_bordering_grows_then_hunts():
-    # every scripted sample lands below the generic rank 3: (2,1,1) has rank
-    # 1, so the bordering 2x2 minor (u1-1)(u2-1) is hunted, skipping (1,1,1)
-    # where it vanishes; (2,2,1) has rank 2, and the bordering 3x3 minor is
-    # hunted to (3,3,3)
+    # every scripted sample lands below the generic rank 3: (2,1,1), drawn
+    # five times, has rank 1, so the bordering 2x2 minor (u1-1)(u2-1) is
+    # hunted, skipping (1,1,1) where it vanishes; (2,2,1) has rank 2, and the
+    # bordering 3x3 minor is hunted to (3,3,3)
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]])
-    rng = ScriptedRng([2, 1, 1, 1, 1, 1, 2, 2, 1, 3, 3, 3])
-    verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=3, cols=3, rng=rng
-    )
+    rng = ScriptedRng([2, 1, 1] * 5 + [1, 1, 1, 2, 2, 1, 3, 3, 3])
+    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=3, cols=3, rng=rng)
     assert verdict.nondegenerate
     assert verdict.witness_u == (3, 3, 3)
-    assert verdict.samples_tried == 4
+    assert verdict.samples_tried == 8
 
 
 def test_generic_rank_bordering_grows_then_certifies():
-    # generic rank 2 < 3; the sample (2,1) has rank 1, so the loop grows the
-    # basis at the hunted point (2,2) and certifies from there
+    # generic rank 2 < 3; the sample (2,1), drawn five times, has rank 1, so
+    # the loop grows the basis at the hunted point (2,2) and certifies from there
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
-    rng = ScriptedRng([2, 1, 2, 2])
-    verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, cols=3, rng=rng
-    )
+    rng = ScriptedRng([2, 1] * 5 + [2, 2])
+    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=rng)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
-    assert verdict.samples_tried == 2
+    assert verdict.samples_tried == 6
     cert = parse_certificate(verdict.certificate, with_h=False)
     assert (cert.rank, cert.rows, cert.cols, cert.u) == (2, (0, 1), (0, 1), (2, 2))
     assert cert.minors == [((0, 1, 2), (0, 1, 2))]
@@ -303,22 +297,22 @@ def test_generic_rank_bordering_grows_then_certifies():
 def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
     # the case above: the basis (R, C) of each certificate round is read off
     # the elimination that ranked the sample, so the only eliminations are
-    # those of the two samples short of the target, (2,1) and then (2,2)
+    # those of the samples short of the target, (2,1) five times and then (2,2)
     eliminated = []
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0, retries=1), u_dim=2, cols=3, rng=ScriptedRng([2, 1, 2, 2])
+        matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 1] * 5 + [2, 2])
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
-    assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in ((2, 1), (2, 2))]
+    assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in [(2, 1)] * 5 + [(2, 2)]]
 
 
 def test_generic_rank_budget_exhausted():
     matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
     rng = ScriptedRng([1, -1])
-    cfg = SamplerConfig(seed=0, retries=1, hard_cap=7)
+    cfg = SamplerConfig(seed=0, hard_cap=7)
     with pytest.raises(BudgetExhausted):
         generic_rank_test(matrix, 1, cfg, u_dim=2, cols=1, rng=rng)
 
@@ -371,7 +365,7 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
         ]
 
     matrix = lambda u, h: dict_rows(dense(u))
-    cfg = SamplerConfig(seed=data.draw(st.integers(0, 99)), retries=2)
+    cfg = SamplerConfig(seed=data.draw(st.integers(0, 99)))
 
     verdict = generic_rank_test(matrix, target, cfg, u_dim=inner, cols=cols)
     if verdict.nondegenerate:
