@@ -53,7 +53,7 @@ class UsageError(ValueError):
 def _frac_list(vec) -> Optional[list[str]]:
     if vec is None:
         return None
-    return [str(Fraction(x)) for x in vec]
+    return [str(x) for x in vec]
 
 
 def _parse_frac_list(vec) -> Optional[tuple[Fraction, ...]]:
@@ -146,7 +146,7 @@ def report_from_dict(d: dict) -> AnalysisReport:
 
 
 def _int_matrix(m: RatMatrix) -> list[list[int]]:
-    return [[int(x) for x in m.row(i)] for i in range(m.rows)]
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def matrices_to_dict(net: ReactionNetwork, mats: NetworkMatrices) -> dict:
@@ -193,7 +193,7 @@ def _conclusion_F_text(c: ClassesConclusion) -> str:
 
 
 def _vec_text(vec) -> str:
-    return " ".join(str(Fraction(x)) for x in vec)
+    return " ".join(map(str, vec))
 
 
 def _verdict_lines(name: str, v: GenericRankVerdict) -> list[str]:

@@ -14,21 +14,24 @@ is before the first pivot, and the witness is w = 1.  Only an empty cone
 pivots all the way to Bland optimality.  The tableau rows and the reduced
 costs hold only their nonzero entries (N has a few per column), and a
 pivot touches only the rows with a nonzero in the entering column.
-Witnesses are re-validated exactly before being returned; no
-infeasibility certificate is produced.
+
+The tableau starts from N's int rows, and the right-hand side, reduced
+costs and objective stay ints until a pivot divides by an entry other
+than 1; that quotient is an exact ``Fraction`` (or an int when it is
+integral), and the ratio test compares ratios by cross-multiplying, so
+the zero-pivot path builds no Fraction at all.  The witness holds ints
+and non-integral Fractions, like every ``RatMatrix`` value.  Witnesses
+are re-validated exactly before being returned; no infeasibility
+certificate is produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
-from .ratmat import RatMatrix, add_multiple
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .ratmat import Rational, RatMatrix, add_multiple, quotient, rational
 
 
 class ConeStatus(str, Enum):
@@ -39,14 +42,14 @@ class ConeStatus(str, Enum):
 @dataclass(frozen=True)
 class ConeResult:
     status: ConeStatus
-    witness: Optional[tuple[Fraction, ...]]
+    witness: Optional[tuple[Rational, ...]]
 
     @property
     def exists(self) -> bool:
         return self.status is ConeStatus.POSITIVE_VECTOR_EXISTS
 
 
-def _phase_one_simplex(a_rows: list[dict[int, Fraction]], rhs: list[Fraction], nvars: int):
+def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], nvars: int):
     """Minimize the sum of artificials for {A v = rhs, v >= 0}.
 
     ``a_rows`` holds the nonzero entries of each row of A.  Returns the
@@ -67,18 +70,18 @@ def _phase_one_simplex(a_rows: list[dict[int, Fraction]], rhs: list[Fraction], n
         if rhs[i] < 0:
             row = {j: -x for j, x in row.items()}
             rhs[i] = -rhs[i]
-        row[nvars + i] = _ONE
+        row[nvars + i] = 1
         tableau.append(row)
     basis = list(range(nvars, nvars + m))
     # reduced costs for cost vector (0,...,0,1,...,1) under the artificial basis:
     # zero on the artificials, minus the column sums on the rest
-    cost: dict[int, Fraction] = {}
+    cost: dict[int, Rational] = {}
     for row in tableau:
         for j, x in row.items():
             if j < nvars:
-                cost[j] = cost.get(j, _ZERO) - x
+                cost[j] = cost.get(j, 0) - x
     cost = {j: x for j, x in cost.items() if x}
-    objective = sum(rhs, _ZERO)
+    objective = sum(rhs)
 
     # the objective is a sum of nonnegative artificials, so once it is 0
     # every further pivot has step 0 and leaves the solution where it is
@@ -87,24 +90,25 @@ def _phase_one_simplex(a_rows: list[dict[int, Fraction]], rhs: list[Fraction], n
         if entering is None:
             break
         leaving = -1
-        best_ratio = None
         for i in range(m):
             coeff = tableau[i].get(entering)
-            if coeff is not None and coeff.numerator > 0:
-                ratio = rhs[i] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
-                    leaving = i
+            if coeff is None or coeff.numerator <= 0:
+                continue
+            if leaving >= 0:
+                # ratio rhs[i] / coeff against the best so far, cross-multiplied
+                # (both coefficients are positive)
+                ratio, best = rhs[i] * tableau[leaving][entering], rhs[leaving] * coeff
+                if ratio > best or (ratio == best and basis[i] > basis[leaving]):
+                    continue
+            leaving = i
         if leaving < 0:
             # phase-1 objective is bounded below by zero, so this is unreachable
             raise RuntimeError("unbounded phase-1 objective")
         piv_row = tableau[leaving]
         piv = piv_row[entering]
         if piv != 1:
-            tableau[leaving] = piv_row = {j: x / piv for j, x in piv_row.items()}
-            rhs[leaving] /= piv
+            tableau[leaving] = piv_row = {j: quotient(x, piv) for j, x in piv_row.items()}
+            rhs[leaving] = quotient(rhs[leaving], piv)
         b = rhs[leaving]
         for i in range(m):
             if i != leaving:
@@ -119,7 +123,7 @@ def _phase_one_simplex(a_rows: list[dict[int, Fraction]], rhs: list[Fraction], n
             objective += f * b
         basis[leaving] = entering
 
-    solution = [_ZERO] * nvars
+    solution = [0] * nvars
     for i, var in enumerate(basis):
         if var < nvars:
             solution[var] = rhs[i]
@@ -136,11 +140,11 @@ def positive_kernel_vector(n_mat: RatMatrix) -> ConeResult:
     if r < 1:
         raise ValueError("cone feasibility needs at least one column")
     a_rows = [n_mat.entries(i) for i in range(n_mat.rows)]
-    rhs = [-sum(row.values(), _ZERO) for row in a_rows]
+    rhs = [-sum(row.values()) for row in a_rows]
     optimum, v = _phase_one_simplex(a_rows, rhs, r)
     if optimum != 0:
         return ConeResult(ConeStatus.EMPTY, None)
-    w = tuple(x + 1 for x in v)
+    w = tuple(rational(x + 1) for x in v)
     residual = n_mat.mul_vec(w)
     if any(residual) or min(w) < 1:
         raise RuntimeError("simplex produced an invalid cone witness")

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .ratmat import RatMatrix
+from .ratmat import Rational, RatMatrix
 
 
 class ParseError(ValueError):
@@ -313,13 +312,14 @@ class NetworkMatrices:
         return self.gamma.kernel_basis()
 
     @cached_property
-    def products(self) -> tuple[tuple[int, int, int, int | Fraction], ...]:
+    def products(self) -> tuple[tuple[int, int, int, Rational], ...]:
         """(i, j, k, N[i,k] * B[j,k]) for every nonzero product, sorted.
 
         The sparsity pattern of N diag(w) B^T, collected once per network;
-        in (i, j, k) order, a row's columns come in ascending order.
-        Integral products are Python ints, which multiply much faster than
-        Fractions when the pattern is evaluated at integer points.
+        in (i, j, k) order, a row's columns come in ascending order.  The
+        matrices of a parsed network are integral, so the products are
+        Python ints, which multiply much faster than Fractions when the
+        pattern is evaluated at integer points.
         """
         n_cols, b_cols = self.n_mat.transpose(), self.b.transpose()
         out = []
@@ -327,8 +327,7 @@ class NetworkMatrices:
             bcol = b_cols.entries(k).items()
             for i, a in n_cols.entries(k).items():
                 for j, b in bcol:
-                    c = a * b
-                    out.append((i, j, k, int(c) if c.denominator == 1 else c))
+                    out.append((i, j, k, a * b))
         return tuple(sorted(out))
 
     @classmethod

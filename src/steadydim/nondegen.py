@@ -170,12 +170,10 @@ def jacobian(mats: NetworkMatrices, w: Sequence, h: Optional[Sequence] = None) -
 
 
 def _kernel_combination(mats: NetworkMatrices, g: RatMatrix):
-    """u -> G u, in Python ints where G is integral."""
+    """u -> G u; G is a primitive integer basis, so G u is integral at integer u."""
     if g.rows != mats.r:
         raise DimensionMismatch(f"kernel basis has {g.rows} rows, expected {mats.r}")
-    g_rows = [
-        [(t, int(x) if x.denominator == 1 else x) for t, x in g.entries(k).items()] for k in range(g.rows)
-    ]
+    g_rows = [list(g.entries(k).items()) for k in range(g.rows)]
     return lambda u: [sum(x * u[t] for t, x in row) for row in g_rows]
 
 
@@ -188,10 +186,7 @@ def f_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
 def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
     """[N diag(Gu) B^T diag(h); W] as a function of (u, h)."""
     combine = _kernel_combination(mats, g)
-    w_rows = [
-        {j: int(x) if x.denominator == 1 else x for j, x in mats.w_mat.entries(i).items()}
-        for i in range(mats.w_mat.rows)
-    ]
+    w_rows = [mats.w_mat.entries(i) for i in range(mats.w_mat.rows)]
     return lambda u, h: jacobian(mats, combine(u), h) + w_rows
 
 
@@ -237,7 +232,7 @@ def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[in
 
 
 def _indices(idx: Sequence[int]) -> str:
-    return "(" + ",".join(str(i) for i in idx) + ")"
+    return "(" + ",".join(map(str, idx)) + ")"
 
 
 def _bordering_certificate(
@@ -368,7 +363,7 @@ def generic_rank_test(
     while True:
         # the sample's row-rank profile and pivot columns: a nonsingular
         # rank x rank submatrix, from the elimination that ranked the sample
-        basis = (evaluated.row_profile(), evaluated.rref()[1])
+        basis = (evaluated.row_profile(), evaluated.pivot_columns())
         vanish, witness = all_minors_zero(symbolic, cols, rank + 1, basis=basis)
         if vanish:
             return GenericRankVerdict(
@@ -413,7 +408,7 @@ def _monomials(mats: NetworkMatrices, x: tuple[Fraction, ...]) -> tuple[Fraction
     for i in range(mats.r):
         acc = _ONE
         for j, e in b_cols.entries(i).items():
-            acc *= x[j] ** int(e)
+            acc *= x[j] ** e
         vals.append(acc)
     return tuple(vals)
 

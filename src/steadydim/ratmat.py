@@ -1,22 +1,31 @@
-"""Exact linear algebra over the rationals, on sparse rows.
+"""Exact linear algebra over the rationals, on sparse rows of integers.
 
 A ``RatMatrix`` stores only its nonzero entries: one dict
-``{column: Fraction}`` per row.  One elimination reduces the rows in
-order on those dicts, so the work follows the nonzeros rather than the
-shape (a stoichiometric matrix has a few nonzeros per column).  It
-gives the reduced row echelon form, the rank, the row-rank profile and
-the left kernel at once, and the right kernel and row-space bases are
-read off the RREF.  Matrices are immutable after construction, so
-values can be shared freely across threads; each one keeps its
-elimination once computed, so all of these cost one elimination.
+``{column: value}`` per row, where a value is a Python ``int`` when it
+is an integer and a ``Fraction`` (denominator > 1) only when it is not.
+The matrices of a network (stoichiometric, exponent, their bases) are
+integral, so their entries are plain ints end to end.
+
+One fraction-free elimination reduces the rows in order on those
+dicts, so the work follows the nonzeros rather than the shape (a
+stoichiometric matrix has a few nonzeros per column).  Each row is
+scaled to integers and reduced against the independent rows before it
+by ``row <- a*row - b*earlier`` with coprime integers ``a`` and ``b``,
+then divided by its content.  That forward pass gives the rank, the
+pivot columns, the row-rank profile and, by unwinding the recorded
+integer pairs, the left kernel.  An integer back-substitution turns
+the independent rows into the reduced row echelon form; it runs once,
+on first use, and gives the right kernel and row-space bases too.
+Matrices are immutable after construction, so values can be shared
+freely across threads; each one keeps its elimination once computed.
 
 ``rank_mod_p`` ranks a matrix of ints and Fractions, given as the same
 sparse rows, modulo the prime ``MODULUS``, reducing the rows in order
 (forward only); that rank never exceeds the rational rank, so a rank
 of at least k modulo p proves a rank of at least k over Q.
 
-Basis vectors are rescaled to primitive integer vectors to keep
-downstream coefficients small.
+Basis vectors are primitive integer vectors, to keep downstream
+coefficients small.
 """
 
 from __future__ import annotations
@@ -26,57 +35,83 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
+# a stored value: an int, or a Fraction whose denominator is not 1
+Rational = Union[int, Fraction]
 
 # the Mersenne prime 2^61 - 1
 MODULUS = (1 << 61) - 1
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def rational(x: Scalar) -> Rational:
+    """The exact value of ``x`` as a matrix stores it: an int when it is
+    integral, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def quotient(x: Rational, y: Rational) -> Rational:
+    """The exact quotient x / y, an int when it is integral."""
+    if x.__class__ is int and y.__class__ is int and not x % y:
+        return x // y
+    return rational(Fraction(x, y))
 
 
-def _nonzeros(items: Iterable[tuple[int, Scalar]]) -> dict[int, Fraction]:
-    """{index: Fraction} for the nonzero values among (index, value) pairs."""
-    return {j: v for j, x in items if x and (v := _frac(x))}
+def _nonzeros(items: Iterable[tuple[int, Scalar]]) -> dict[int, Rational]:
+    """{index: value} for the nonzero values among (index, value) pairs."""
+    return {j: v for j, x in items if x and (v := rational(x))}
 
 
-def _primitive(entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _integral(row: Mapping[int, Rational]) -> tuple[int, dict[int, int]]:
+    """``(m, m * row)`` for m the lcm of the row's denominators, the
+    scaled row as a new dict of ints."""
+    denominators = [x.denominator for x in row.values() if x.__class__ is not int]
+    if not denominators:
+        return 1, dict(row)
+    mult = lcm(*denominators)
+    return mult, {j: x * mult if x.__class__ is int else x.numerator * (mult // x.denominator) for j, x in row.items()}
+
+
+def _primitive(entries: Mapping[int, Rational]) -> dict[int, int]:
     """The primitive integer multiple of a sparse vector, first entry positive."""
     if not entries:
         return {}
-    mult = lcm(*(x.denominator for x in entries.values()))
-    ints = {j: x.numerator * (mult // x.denominator) for j, x in entries.items()}
+    _, ints = _integral(entries)
     content = gcd(*ints.values())
     if ints[min(ints)] < 0:
         content = -content
-    return {j: Fraction(x // content) for j, x in ints.items()}
+    return {j: x // content for j, x in ints.items()}
 
 
-def primitive(vec: Iterable[Scalar]) -> tuple[Fraction, ...]:
+def primitive(vec: Iterable[Scalar]) -> tuple[int, ...]:
     """Rescale a rational vector to a primitive integer vector.
 
     Clears denominators, divides by the content (gcd of the entries) and
     flips the sign so the first nonzero entry is positive.  The zero
-    vector is returned unchanged.
+    vector is returned as zeros.
     """
     v = list(vec)
     p = _primitive(_nonzeros(enumerate(v)))
-    return tuple(p.get(j, _ZERO) for j in range(len(v)))
+    return tuple(p.get(j, 0) for j in range(len(v)))
 
 
 class RatMatrix:
     """Immutable sparse matrix of rationals.
 
-    Row i is a dict {column: nonzero Fraction} with its columns in
+    Row i is a dict {column: nonzero value} with its columns in
     ascending order; every constructor and operation keeps that order.
+    A value is an ``int`` when it is an integer and a ``Fraction`` with
+    denominator > 1 otherwise.  The fraction-free elimination runs on
+    first use of a rank, profile or basis method and is kept; the RREF
+    back-substitution runs on first use of ``rref``, ``kernel_basis`` or
+    ``row_basis`` and is kept too.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_elim")
+    __slots__ = ("rows", "cols", "_entries", "_elim", "_echelon")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[dict[int, Fraction]]):
+    def __init__(self, rows: int, cols: int, entries: Sequence[dict[int, Rational]]):
         """Take ``entries`` as is: one dict per row, as the class stores it.
 
         ``from_entries`` accepts any values and drops zeros.
@@ -87,6 +122,7 @@ class RatMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", tuple(entries))
         object.__setattr__(self, "_elim", None)
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -118,19 +154,19 @@ class RatMatrix:
 
     # -- access ------------------------------------------------------
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> Rational:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self._entries[i].get(j, _ZERO)
+        return self._entries[i].get(j, 0)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Rational, ...]:
         d = self._entries[i]
-        return tuple(d.get(j, _ZERO) for j in range(self.cols))
+        return tuple(d.get(j, 0) for j in range(self.cols))
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(d.get(j, _ZERO) for d in self._entries)
+    def column(self, j: int) -> tuple[Rational, ...]:
+        return tuple(d.get(j, 0) for d in self._entries)
 
-    def entries(self, i: int) -> dict[int, Fraction]:
+    def entries(self, i: int) -> dict[int, Rational]:
         """The nonzero entries of row i as a new dict {column: value}."""
         return dict(self._entries[i])
 
@@ -155,7 +191,7 @@ class RatMatrix:
     # -- arithmetic --------------------------------------------------
 
     def transpose(self) -> "RatMatrix":
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        out: list[dict[int, Rational]] = [{} for _ in range(self.cols)]
         for i, d in enumerate(self._entries):
             for j, x in d.items():
                 out[j][i] = x
@@ -166,18 +202,18 @@ class RatMatrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = []
         for d in self._entries:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Rational] = {}
             for k, a in d.items():
                 for j, b in other._entries[k].items():
-                    acc[j] = acc.get(j, _ZERO) + a * b
-            out.append({j: x for j, x in sorted(acc.items()) if x})
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: rational(x) for j, x in sorted(acc.items()) if x})
         return RatMatrix(self.rows, other.cols, out)
 
-    def mul_vec(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    def mul_vec(self, vec: Sequence[Scalar]) -> tuple[Rational, ...]:
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.rows}x{self.cols}")
-        v = [_frac(x) for x in vec]
-        return tuple(sum((a * v[j] for j, a in d.items()), _ZERO) for d in self._entries)
+        v = [rational(x) for x in vec]
+        return tuple(rational(sum(a * v[j] for j, a in d.items())) for d in self._entries)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
@@ -187,70 +223,101 @@ class RatMatrix:
     # -- elimination -------------------------------------------------
 
     def _eliminate(self) -> tuple:
-        """The one rational elimination, which every elimination method reads.
+        """The one fraction-free forward pass, which every elimination method reads.
 
-        Returns ``(RREF, pivot columns, rank, row-rank profile, multiples)``.
-        Each row is reduced, in order, against the independent rows before
-        it (the profile), recording the multiple of each reduced profile
-        row it subtracts.  Back-substitution, from the latest profile row
-        to the first, scales each to 1 at its lead (first nonzero column)
-        and clears it at the later rows' leads: those are the RREF rows.
+        Returns ``(pivot columns, row-rank profile, reduced rows, records)``.
+        Each row is scaled to integers by the lcm of its denominators and
+        reduced, in order, against the independent rows before it (the
+        profile): while it has an entry x at the lead (first nonzero
+        column) of a reduced profile row P with lead value p, it becomes
+        ``a*row - b*P`` with ``a = p/g``, ``b = x/g``, ``g = gcd(p, x)``.
+        A row left nonzero is divided by its content and joins the
+        profile.  ``records`` keeps, per profile row, (scale, steps,
+        content) and, per row that reduced to zero, (row, scale, steps),
+        where steps lists the (profile position, a, b) of each update.
         """
-        # per profile row: (original row index, reduced row, {earlier profile row: multiple})
-        profile: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+        reduced: list[dict[int, int]] = []  # per profile row, its reduced row over its content
+        profile: list[int] = []  # original index of each profile row
+        kept: list[tuple[int, list, int]] = []  # (scale, steps, content) per profile row
+        dependent: list[tuple[int, int, list]] = []  # (row, scale, steps) per zero row
         lead_of: dict[int, int] = {}  # lead of a reduced profile row -> its position
-        dependent: list[tuple[int, dict[int, Fraction]]] = []  # (row, multiples) of each zero row
         for i, row in enumerate(self._entries):
-            vec = dict(row)
-            mult: dict[int, Fraction] = {}
+            scale, vec = _integral(row)
+            steps = []
             while (lead := min((j for j in vec if j in lead_of), default=None)) is not None:
                 k = lead_of[lead]
-                reduced = profile[k][1]
-                f = vec[lead] / reduced[lead]
-                mult[k] = f
-                add_multiple(vec, -f, reduced)
+                piv = reduced[k]
+                p, x = piv[lead], vec[lead]
+                g = gcd(p, x)
+                a, b = p // g, x // g
+                row_update(vec, a, b, piv)
+                steps.append((k, a, b))
             if vec:
-                lead_of[min(vec)] = len(profile)
-                profile.append((i, vec, mult))
+                content = gcd(*vec.values())
+                if content != 1:
+                    vec = {j: x // content for j, x in vec.items()}
+                lead_of[min(vec)] = len(reduced)
+                reduced.append(vec)
+                profile.append(i)
+                kept.append((scale, steps, content))
             else:
-                dependent.append((i, mult))
-        rref_rows: list[dict[int, Fraction]] = [{} for _ in profile]
-        for k in range(len(profile) - 1, -1, -1):
-            vec = profile[k][1]
-            lead = min(vec)
-            piv = vec[lead]
-            row = vec if piv == 1 else {j: x / piv for j, x in vec.items()}
-            for j in [j for j in row if j != lead and j in lead_of]:
-                add_multiple(row, -row[j], rref_rows[lead_of[j]])
-            rref_rows[k] = row
-        pivots = tuple(sorted(lead_of))
-        entries = [dict(sorted(rref_rows[lead_of[c]].items())) for c in pivots]
-        entries += [{} for _ in range(self.rows - len(pivots))]
-        return (
-            RatMatrix(self.rows, self.cols, entries),
-            pivots,
-            len(pivots),
-            tuple(i for i, _, _ in profile),
-            ([below for _, _, below in profile], dependent),
-        )
+                dependent.append((i, scale, steps))
+        return tuple(sorted(lead_of)), tuple(profile), reduced, (kept, dependent)
 
     def _elimination(self) -> tuple:
         if self._elim is None:
             object.__setattr__(self, "_elim", self._eliminate())
         return self._elim
 
+    def _back_substitute(self) -> list[dict[int, int]]:
+        """The RREF rows, in pivot order, each as its primitive integer
+        multiple with a positive lead.
+
+        From the latest profile row to the first, a reduced row has
+        entries only at the leads of later profile rows, which are done;
+        each is cleared fraction-free against that row's result, and the
+        row is made primitive.
+        """
+        pivots, _, reduced, _ = self._elimination()
+        lead_of = {min(vec): k for k, vec in enumerate(reduced)}
+        done: list[dict[int, int]] = [{} for _ in reduced]
+        for k in range(len(reduced) - 1, -1, -1):
+            vec = dict(reduced[k])
+            lead = min(vec)
+            for j in [j for j in vec if j != lead and j in lead_of]:
+                src = done[lead_of[j]]
+                p, x = src[j], vec[j]
+                g = gcd(p, x)
+                row_update(vec, p // g, x // g, src)
+            done[k] = dict(sorted(_primitive(vec).items()))
+        return [done[lead_of[c]] for c in pivots]
+
+    def _echelon_rows(self) -> list[dict[int, int]]:
+        if self._echelon is None:
+            object.__setattr__(self, "_echelon", self._back_substitute())
+        return self._echelon
+
     def rref(self) -> tuple["RatMatrix", tuple[int, ...], int]:
         """Reduced row echelon form: ``(R, pivot_columns, rank)``, with the
         RREF rows first in ``R`` and zero rows after them."""
-        return self._elimination()[:3]
+        pivots = self.pivot_columns()
+        entries = [
+            {j: quotient(x, row[c]) for j, x in row.items()} for row, c in zip(self._echelon_rows(), pivots)
+        ]
+        entries += [{} for _ in range(self.rows - len(pivots))]
+        return RatMatrix(self.rows, self.cols, entries), pivots, len(pivots)
 
     def rank(self) -> int:
-        return self._elimination()[2]
+        return len(self._elimination()[0])
+
+    def pivot_columns(self) -> tuple[int, ...]:
+        """The columns of the RREF's leading ones, ascending."""
+        return self._elimination()[0]
 
     def row_profile(self) -> tuple[int, ...]:
         """The rows independent of the rows before them, in order: with the
         pivot columns C, these rows R give a nonsingular ``self[R, C]``."""
-        return self._elimination()[3]
+        return self._elimination()[1]
 
     def kernel_basis(self) -> "RatMatrix":
         """Basis of the right kernel, one primitive integer vector per column.
@@ -260,28 +327,34 @@ class RatMatrix:
         the vector that is 1 at the t-th free column, 0 at the other free
         columns and solves the RREF at the pivot columns.
         """
-        red, pivots, rank = self.rref()
+        pivots = self.pivot_columns()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        # free column -> (pivot column, lead value, entry) of each RREF row that meets it
+        meets: dict[int, list[tuple[int, int, int]]] = {c: [] for c in free}
+        for row, pc in zip(self._echelon_rows(), pivots):
+            d = row[pc]
+            for j, x in row.items():
+                if j != pc:
+                    meets[j].append((pc, d, x))
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
         for t, fc in enumerate(free):
-            v = {fc: _ONE}
-            for i, pc in enumerate(pivots):
-                x = red._entries[i].get(fc)
-                if x:
-                    v[pc] = -x
+            mult = lcm(*(d for _, d, _ in meets[fc]))
+            v = {fc: mult}
+            for pc, d, x in meets[fc]:
+                v[pc] = -x * (mult // d)
             for j, x in _primitive(v).items():
                 out[j][t] = x
         return RatMatrix(self.cols, len(free), out)
 
     def row_basis(self) -> "RatMatrix":
-        """Row-space basis: nonzero RREF rows rescaled to primitive integers.
+        """Row-space basis: the RREF rows rescaled to primitive integers.
 
         The result has full row rank equal to ``rank(self)`` and the same
         row space as ``self``.
         """
-        red, _, rank = self.rref()
-        return RatMatrix(rank, self.cols, [_primitive(red._entries[i]) for i in range(rank)])
+        echelon = self._echelon_rows()
+        return RatMatrix(len(echelon), self.cols, list(echelon))
 
     def left_kernel_basis(self) -> "RatMatrix":
         """Basis of the left kernel as primitive integer rows.
@@ -289,37 +362,72 @@ class RatMatrix:
         The result ``K`` is ``(rows - rank) x rows`` with ``K @ self == 0``.
         A row outside the row-rank profile reduced to zero, so it is a
         combination of the profile rows before it; unwinding the recorded
-        multiples gives that combination, the one left-kernel vector that
-        is 1 at the row and 0 at the other rows outside the profile, and
-        its primitive multiple becomes a basis row.
+        integer pairs gives that combination, the one left-kernel vector
+        that is nonzero at the row and 0 at the other rows outside the
+        profile, and its primitive multiple becomes a basis row.
         """
-        _, _, _, profile, (below, dependent) = self._elimination()
+        _, profile, _, (kept, dependent) = self._elimination()
         out = []
-        for i, recorded in dependent:
-            # row i = sum mult[k] * reduced_k, and reduced_k = row_(profile k) - sum of its own multiples
-            mult = dict(recorded)
-            comb = {i: _ONE}
+        for i, scale, steps in dependent:
+            # invariant: sum comb[j] * row_j - sum mult[k] * reduced_k = 0
+            alpha, mult = _accumulate(scale, steps)
+            comb = {i: alpha}
             for k in range(max(mult, default=-1), -1, -1):
-                c = mult.get(k)
-                if c:
-                    comb[profile[k]] = -c
-                    for m, fm in below[k].items():
-                        mult[m] = mult.get(m, _ZERO) - c * fm
+                beta = mult.pop(k, 0)
+                if not beta:
+                    continue
+                # content_k * reduced_k = alpha_k * row_(profile k) - sum beta_k[m] * reduced_m
+                scale_k, steps_k, content_k = kept[k]
+                alpha_k, mult_k = _accumulate(scale_k, steps_k)
+                g = gcd(beta, content_k)
+                if content_k != g:
+                    c = content_k // g
+                    comb = {j: x * c for j, x in comb.items()}
+                    mult = {m: x * c for m, x in mult.items()}
+                beta //= g
+                comb[profile[k]] = -beta * alpha_k
+                for m, x in mult_k.items():
+                    mult[m] = mult.get(m, 0) - beta * x
             out.append(dict(sorted(_primitive(comb).items())))
         return RatMatrix(len(out), self.rows, out)
 
 
-def add_multiple(target: dict, f, source: dict) -> None:
-    """target += f * source on sparse rows, dropping the entries that cancel."""
+def _accumulate(scale: int, steps: list[tuple[int, int, int]]) -> tuple[int, dict[int, int]]:
+    """(alpha, beta) with alpha * row - sum beta[k] * reduced_k equal to the
+    row's reduced vector (before its content is divided out), from the
+    row's scale and its (profile position, a, b) steps."""
+    f = 1
+    beta: dict[int, int] = {}
+    for k, a, b in reversed(steps):
+        beta[k] = b * f
+        f *= a
+    return f * scale, beta
+
+
+def row_update(target: dict, a: int, b: int, source: dict) -> None:
+    """target <- a * target - b * source on sparse rows, dropping the entries that cancel."""
+    if a != 1:
+        for j in target:
+            target[j] *= a
     for j, x in source.items():
-        y = target.get(j, _ZERO) + f * x
+        y = target.get(j, 0) - b * x
         if y:
             target[j] = y
         else:
             del target[j]
 
 
-def rank_mod_p(rows: Sequence[Mapping[int, Union[int, Fraction]]]) -> int:
+def add_multiple(target: dict, f, source: dict) -> None:
+    """target += f * source on sparse rows, dropping the entries that cancel."""
+    for j, x in source.items():
+        y = target.get(j, 0) + f * x
+        if y:
+            target[j] = y
+        else:
+            del target[j]
+
+
+def rank_mod_p(rows: Sequence[Mapping[int, Rational]]) -> int:
     """Rank modulo ``MODULUS`` of a matrix given as sparse rows.
 
     Each row is a dict {column: int or Fraction}; it is first scaled by
@@ -331,8 +439,7 @@ def rank_mod_p(rows: Sequence[Mapping[int, Union[int, Fraction]]]) -> int:
     p = MODULUS
     leads: dict[int, tuple[dict[int, int], int]] = {}  # lead -> (reduced row, inverse of its lead)
     for row in rows:
-        mult = lcm(*(x.denominator for x in row.values() if x.__class__ is not int))
-        vec = {j: y for j, x in row.items() if (y := int(x * mult) % p)}
+        vec = {j: y for j, x in _integral(row)[1].items() if (y := x % p)}
         while vec:
             lead = min(vec)
             if lead not in leads:

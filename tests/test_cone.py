@@ -118,11 +118,15 @@ def test_against_sympy_lp_oracle():
 
 def bland_to_optimality(a_rows, rhs, nvars):
     """Reference phase 1: the same tableau and Bland pivots, run until no
-    reduced cost is negative, however long the objective has been 0."""
+    reduced cost is negative, however long the objective has been 0.
+
+    Every value is converted to a Fraction first, so the reference runs in
+    plain exact arithmetic (its ratios divide with ``/``), apart from the
+    int values and cross-multiplied ratios of the simplex under test."""
     m = len(a_rows)
-    tableau, rhs = [], list(rhs)
+    tableau, rhs = [], [Fraction(x) for x in rhs]
     for i in range(m):
-        row = dict(a_rows[i])
+        row = {j: Fraction(x) for j, x in a_rows[i].items()}
         if rhs[i] < 0:
             row = {j: -x for j, x in row.items()}
             rhs[i] = -rhs[i]

@@ -1,8 +1,14 @@
 """Pinned reports: ``analyze --json`` must reproduce them byte for byte.
 
 ``tests/data/golden_reports.jsonl`` holds one record per (input, seed):
-every fixture and the criterion-6 chains of 12 and 30 species
-(``tests/data/chain*.crn``) at seeds 0 and 7.  A change that alters any
+every fixture and every network in ``tests/data`` at seeds 0 and 7.
+Those are the criterion-6 chains of 12 and 30 species
+(``chain*.crn``), the replicated ``example42_family(3, 3)`` of
+``bench/workloads.py``, which takes the certificate path, and two random
+networks of its ``screen_small`` workload at seed 0: ``empty_cone.crn``
+(``random003``), whose cone is empty and whose simplex pivots through
+non-integral ratios, and ``fractional_rref.crn`` (``random001``), whose
+stoichiometric matrix has an RREF entry that is not an integer.  A change that alters any
 of these bytes must be deliberate: regenerate the file and say why in
 CHANGES.md (a report format change also bumps ``schema_version``).
 """
@@ -20,9 +26,10 @@ GOLDEN = [json.loads(line) for line in (REPO / "tests" / "data" / "golden_report
 
 def test_golden_set_covers_every_fixture_and_both_chains():
     inputs = {record["input"] for record in GOLDEN}
-    fixtures = {p.relative_to(REPO).as_posix() for p in (REPO / "fixtures").glob("*.crn")}
-    assert inputs == fixtures | {"tests/data/chain12.crn", "tests/data/chain30.crn"}
-    assert {record["seed"] for record in GOLDEN} == {0, 7}
+    networks = sorted((REPO / "fixtures").glob("*.crn")) + sorted((REPO / "tests" / "data").glob("*.crn"))
+    assert inputs == {p.relative_to(REPO).as_posix() for p in networks}
+    assert {"tests/data/chain12.crn", "tests/data/chain30.crn", "tests/data/example42_k3_d3.crn"} <= inputs
+    assert {(record["input"], record["seed"]) for record in GOLDEN} == {(i, s) for i in inputs for s in (0, 7)}
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=lambda r: f"{Path(r['input']).stem}-seed{r['seed']}")

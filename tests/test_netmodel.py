@@ -227,24 +227,32 @@ def test_matrix_invariants_random():
 
 def test_from_network_eliminates_gamma_once(monkeypatch):
     # n_mat, w_mat and G all read one elimination of gamma: building them
-    # makes the calls and the row operations of a single elimination
-    counts = {"eliminations": 0, "row_operations": 0}
-    real_eliminate, real_add_multiple = RatMatrix._eliminate, ratmat.add_multiple
+    # makes the calls and the integer row updates of a single elimination
+    # with its RREF (the forward pass and the back-substitution)
+    counts = {"eliminations": 0, "back_substitutions": 0, "row_operations": 0}
+    real_eliminate, real_back_substitute = RatMatrix._eliminate, RatMatrix._back_substitute
+    real_row_update = ratmat.row_update
 
     def eliminate(self):
         counts["eliminations"] += 1
         return real_eliminate(self)
 
-    def add_multiple(*args):
+    def back_substitute(self):
+        counts["back_substitutions"] += 1
+        return real_back_substitute(self)
+
+    def row_update(*args):
         counts["row_operations"] += 1
-        real_add_multiple(*args)
+        real_row_update(*args)
 
     monkeypatch.setattr(RatMatrix, "_eliminate", eliminate)
-    monkeypatch.setattr(ratmat, "add_multiple", add_multiple)
-    RatMatrix.from_rows(CALCIUM_GAMMA).rank()
+    monkeypatch.setattr(RatMatrix, "_back_substitute", back_substitute)
+    monkeypatch.setattr(ratmat, "row_update", row_update)
+    RatMatrix.from_rows(CALCIUM_GAMMA).rref()
     one_elimination = dict(counts)
-    assert one_elimination["eliminations"] == 1 and one_elimination["row_operations"] > 0
-    counts.update(eliminations=0, row_operations=0)
+    assert one_elimination["eliminations"] == one_elimination["back_substitutions"] == 1
+    assert one_elimination["row_operations"] > 0
+    counts.update(eliminations=0, back_substitutions=0, row_operations=0)
     mats = NetworkMatrices.from_network(parse_network(CALCIUM_TEXT))
     assert mats.g.cols == mats.r - mats.s
     assert counts == one_elimination

@@ -309,6 +309,26 @@ def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
     assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in [(2, 1)] * 5 + [(2, 2)]]
 
 
+def test_sample_rank_and_profile_run_no_back_substitution(monkeypatch):
+    # rank, row-rank profile and pivot columns come from the forward pass;
+    # the RREF back-substitution runs once, on first use of a basis
+    substituted = []
+    real_back_substitute = RatMatrix._back_substitute
+    monkeypatch.setattr(
+        RatMatrix, "_back_substitute", lambda self: substituted.append(self) or real_back_substitute(self)
+    )
+    mats = NetworkMatrices.from_network(CALCIUM)
+    substituted.clear()
+    rows = f_test_matrix(mats, mats.g)((2, -3, 5), None)
+    sample = RatMatrix.from_entries(len(rows), mats.n, rows)
+    assert (sample.rank(), sample.row_profile(), sample.pivot_columns()) == (3, (0, 1, 2), (0, 1, 2))
+    assert substituted == []
+    sample.rref()
+    sample.kernel_basis()
+    sample.row_basis()
+    assert substituted == [sample]
+
+
 def test_generic_rank_budget_exhausted():
     matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
     rng = ScriptedRng([1, -1])

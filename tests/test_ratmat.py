@@ -6,9 +6,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steadydim.cone import positive_kernel_vector
+from steadydim.nondegen import check_steady_state
 from steadydim.ratmat import MODULUS, RatMatrix, primitive, rank_mod_p
 
-from conftest import CALCIUM_B, CALCIUM_GAMMA, diag, dict_rows, random_rational_matrix
+from conftest import CALCIUM_B, CALCIUM_GAMMA, NETWORK_MATRICES, diag, dict_rows, random_rational_matrix
 
 
 def identity(k: int) -> RatMatrix:
@@ -296,6 +298,49 @@ def test_from_entries_drops_zeros_and_checks_indices():
         RatMatrix.from_entries(1, 2, [{2: 1}])
     with pytest.raises(ValueError):
         RatMatrix(2, 2, [{0: 1}])
+
+
+# -- the storage rule: ints, and Fractions only for non-integers -----------------
+
+
+def assert_stored(values):
+    """Each value is an int, or a Fraction that is not an integer: never a
+    float, and never a Fraction with denominator 1."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
+def assert_matrix_stored(m: RatMatrix):
+    assert_stored(x for i in range(m.rows) for x in m.entries(i).values())
+    assert_stored(x for i in range(m.rows) for x in m.row(i))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(m=sparse_matrices(), mats=NETWORK_MATRICES, data=st.data())
+def test_values_are_ints_or_non_integral_fractions(m, mats, data):
+    rows = [m.row(i) for i in range(m.rows)]
+    # integral values given as Fractions and as strings are stored as ints
+    as_fractions = RatMatrix.from_rows([[Fraction(x) for x in row] for row in rows], cols=m.cols)
+    as_strings = RatMatrix.from_entries(m.rows, m.cols, [{j: str(x) for j, x in enumerate(row)} for row in rows])
+    assert as_fractions == as_strings == m
+    other = data.draw(sparse_matrices(rows=m.cols))
+    vec = data.draw(st.lists(ENTRY, min_size=m.cols, max_size=m.cols))
+    for a in (m, as_fractions, as_strings, m.rref()[0], m.kernel_basis(), m.row_basis(), m.left_kernel_basis(),
+              m @ other, m.transpose()):
+        assert_matrix_stored(a)
+    assert_stored(m.mul_vec(vec))
+    assert_stored(m.mul_vec([Fraction(x) for x in vec]))
+    if m.cols:
+        assert_stored(positive_kernel_vector(m).witness or ())
+
+    for a in (mats.gamma, mats.b, mats.n_mat, mats.w_mat, mats.g):
+        assert_matrix_stored(a)
+    assert_stored(positive_kernel_vector(mats.n_mat).witness or ())
+    assert_stored(positive_kernel_vector(mats.gamma).witness or ())
+    point = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+    kappa = data.draw(st.lists(point, min_size=mats.r, max_size=mats.r))
+    x = data.draw(st.lists(point, min_size=mats.n, max_size=mats.n))
+    assert_matrix_stored(check_steady_state(mats, kappa, x).jacobian)
 
 
 # -- rank modulo p ---------------------------------------------------------------
