@@ -1,22 +1,34 @@
 """Reaction network text format and stoichiometric matrices.
 
-Grammar, one reaction per line:
+A network file (``.crn``) holds one reaction per line::
 
     complex ARROW complex [ ";" label [ "," label ] ]
 
-where a complex is "0" (empty) or "+"-separated terms ``coef species`` /
-``coef*species`` / ``species`` (coefficient defaults to 1), ARROW is
-``->`` or ``<->``, and ``#`` starts a comment.  A reversible arrow needs
-two labels (forward first) and is split into two irreversible reactions,
-forward first.  An omitted label becomes ``k<i>`` for the reaction's
-position i (1-based, after splitting) or, when the text writes that label
-or an earlier reaction took it, the next free ``kN``.
+* ARROW is ``->`` or ``<->``; a reversible line is split into two
+  irreversible reactions, forward first.
+* A complex is ``0``, the empty complex, or ``+``-separated terms
+  ``coef species``, ``coef*species`` or ``species``; a coefficient is a
+  positive decimal integer and defaults to 1.  A species name or label
+  is a letter or ``_`` followed by letters, digits and ``_``.
+* ``#`` starts a comment; blank lines are skipped.
+* Rate labels follow ``;``: one label, or two comma-separated labels for
+  ``<->``, forward first.  Labels must be unique.  An omitted label is
+  ``k<i>`` for the reaction's position ``i`` (1-based, after splitting)
+  or, when the text writes that label or an earlier reaction took it,
+  the next free ``kN``.
+* Species are ordered by first appearance, reactant terms before product
+  terms, and reactions keep textual order.  A self-loop (two equal
+  complexes) is rejected.
+* An error reads ``line L, column C: message``, and column ``C`` points
+  at the offending text: a character outside the grammar (a ``-``, ``<``
+  or ``>`` outside the arrow, or a second arrow), the first character of
+  a malformed term or label list, a zero or too-long coefficient, a
+  duplicate label, or the arrow of a self-loop.
 
-Species are ordered by first appearance in the text; reactions keep
-textual order.  From a parsed network, ``NetworkMatrices`` assembles the
-stoichiometric matrix (``gamma``), the reactant-exponent matrix (``b``),
-an integer row basis ``n_mat`` of ``gamma`` and an integer basis
-``w_mat`` of its left kernel (the conservation laws).
+From a parsed network, ``NetworkMatrices`` assembles the stoichiometric
+matrix (``gamma``), the reactant-exponent matrix (``b``), an integer row
+basis ``n_mat`` of ``gamma`` and an integer basis ``w_mat`` of its left
+kernel (the conservation laws).
 """
 
 from __future__ import annotations
@@ -96,168 +108,99 @@ class ReactionNetwork:
         return "\n".join(rx.render(self.species) for rx in self.reactions) + "\n"
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<arrow><->|->)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<plus>\+)"
-    r"|(?P<star>\*)"
-    r"|(?P<semi>;)"
-    r"|(?P<comma>,)"
-)
+# The arrow, or a character the grammar has no place for (a '-', '<' or '>'
+# outside the arrow included): the first match must be the arrow, and there
+# must be no second one.
+_MARK = re.compile(r"<->|->|[^\w\s+*;,]")
+_TERM = re.compile(r"\s*(?:(\d+)\s*(?:\*\s*)?)?([A-Za-z_]\w*)\s*")
+_NAME = r"\s*([A-Za-z_]\w*)\s*"
+_LABELS = (re.compile(_NAME), re.compile(f"{_NAME},{_NAME}"))  # '->', '<->'
 
 
-def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
-    """Token list of (kind, text, 1-based column)."""
-    tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
+def _expected(what: str, part: str, start: int, lineno: int) -> ParseError:
+    """The error for ``part`` (at 0-based ``start`` of its line) not being ``what``.
+
+    The column is that of the first nonblank character of ``part``, or the
+    one just past it when ``part`` is blank.
+    """
+    found = part.strip()
+    column = start + len(part) - len(part.lstrip()) + 1
+    return ParseError(lineno, column, f"expected {what}, found {found!r}" if found else f"expected {what}")
+
+
+def _parse_complex(part: str, start: int, lineno: int, species: dict[str, int]) -> Complex:
+    """The complex written in ``part``, which begins at 0-based ``start`` of its line.
+
+    A species met for the first time gets the next index in ``species``.
+    """
+    if part.strip() == "0":
+        return Complex(())
+    coeffs: dict[int, int] = {}
+    for term in part.split("+"):
+        m = _TERM.fullmatch(term)
         if m is None:
-            raise ParseError(lineno, pos + 1, f"unknown token {line[pos]!r}")
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens, lineno, line_len):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.line_len = line_len
-        self.i = 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> Optional[tuple[str, str, int]]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok is None:
-            raise ParseError(self.lineno, self.line_len + 1, f"expected {what} at end of line")
-        if tok[0] != kind:
-            raise ParseError(self.lineno, tok[2], f"expected {what}, found {tok[1]!r}")
-        return tok
-
-    def error(self, message: str, tok=None) -> ParseError:
-        col = tok[2] if tok else self.line_len + 1
-        return ParseError(self.lineno, col, message)
-
-
-def _parse_complex(cur: _Cursor) -> list[tuple[str, int, int]]:
-    """Parse a complex into (species_name, coefficient, column) terms."""
-    terms: list[tuple[str, int, int]] = []
-    first = cur.peek()
-    if first is not None and first[0] == "int" and first[1] == "0":
-        nxt = cur.tokens[cur.i + 1] if cur.i + 1 < len(cur.tokens) else None
-        if nxt is None or nxt[0] in ("arrow", "semi"):
-            cur.next()
-            return terms
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            raise cur.error("expected a complex term")
-        if tok[0] == "int":
-            cur.next()
+            raise _expected("a complex term", term, start, lineno)
+        digits, name = m.groups()
+        coef = 1
+        if digits:
+            column = start + m.start(1) + 1
             try:
-                coef = int(tok[1])
+                coef = int(digits)
             except ValueError:  # longer than the interpreter's int-string limit
-                raise cur.error(f"coefficient of {len(tok[1])} digits is too long", tok) from None
+                raise ParseError(lineno, column, f"coefficient of {len(digits)} digits is too long") from None
             if coef == 0:
-                raise cur.error("zero coefficient in complex", tok)
-            nxt = cur.peek()
-            if nxt is not None and nxt[0] == "star":
-                cur.next()
-            name_tok = cur.expect("name", "species name")
-            terms.append((name_tok[1], coef, name_tok[2]))
-        elif tok[0] == "name":
-            cur.next()
-            terms.append((tok[1], 1, tok[2]))
-        else:
-            raise cur.error(f"expected a complex term, found {tok[1]!r}", tok)
-        nxt = cur.peek()
-        if nxt is not None and nxt[0] == "plus":
-            cur.next()
-            continue
-        return terms
+                raise ParseError(lineno, column, "zero coefficient in complex")
+        i = species.setdefault(name, len(species))
+        coeffs[i] = coeffs.get(i, 0) + coef
+        start += len(term) + 1
+    return Complex.from_dict(coeffs)
 
 
 def parse_network(text: str) -> ReactionNetwork:
     """Parse network text into a ReactionNetwork.
 
-    Raises ParseError for malformed complexes, duplicate rate labels,
-    self-loop reactions, unknown tokens, or an empty network.
+    Raises ParseError for a character outside the grammar, a missing or
+    second arrow, a malformed complex or label list, a duplicate rate
+    label, a self-loop reaction, or an empty network.
     """
-    species_order: list[str] = []
-    species_index: dict[str, int] = {}
-
-    def index_of(name: str) -> int:
-        if name not in species_index:
-            species_index[name] = len(species_order)
-            species_order.append(name)
-        return species_index[name]
-
+    species: dict[str, int] = {}
     # (reactant, product, explicit label or None), one per irreversible reaction
     pending: list[tuple[Complex, Complex, Optional[str]]] = []
     labels_seen: dict[str, int] = {}
-
-    def claim_label(label, lineno, col):
-        if label in labels_seen:
-            raise ParseError(
-                lineno, col, f"duplicate rate label {label!r} (first used on line {labels_seen[label]})"
-            )
-        labels_seen[label] = lineno
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = _tokenize(line, lineno)
-        if not tokens:
+        if not line.strip():
             continue
-        cur = _Cursor(tokens, lineno, len(line))
-        lhs_terms = _parse_complex(cur)
-        arrow = cur.expect("arrow", "'->' or '<->'")
-        rhs_terms = _parse_complex(cur)
-        reversible = arrow[1] == "<->"
+        arrow = _MARK.search(line)
+        if arrow is None:
+            raise ParseError(lineno, len(line.split(";", 1)[0]) + 1, "expected '->' or '<->'")
+        stray = arrow if len(arrow.group()) == 1 else _MARK.search(line, arrow.end())
+        if stray is not None:
+            raise ParseError(lineno, stray.start() + 1, f"unexpected {stray.group()!r}")
+        a, b = arrow.span()
+        reversible = b - a == 3
+        rhs, semi, label_text = line[b:].partition(";")
+        # species indices assigned in textual order: reactant terms, then product terms
+        reactant = _parse_complex(line[:a], 0, lineno, species)
+        product = _parse_complex(rhs, b, lineno, species)
 
         explicit: list[tuple[str, int]] = []
-        tok = cur.peek()
-        if tok is not None:
-            if tok[0] != "semi":
-                raise cur.error(f"unexpected {tok[1]!r} after reaction", tok)
-            cur.next()
-            name = cur.expect("name", "rate label")
-            explicit.append((name[1], name[2]))
-            if reversible:
-                cur.expect("comma", "',' (reversible reactions need two labels)")
-                name = cur.expect("name", "second rate label")
-                explicit.append((name[1], name[2]))
-            trailing = cur.peek()
-            if trailing is not None:
-                raise cur.error(f"unexpected {trailing[1]!r} after rate labels", trailing)
-
-        # species indices assigned in textual order: reactant terms, then product terms
-        lhs: dict[int, int] = {}
-        for name, coef, _ in lhs_terms:
-            i = index_of(name)
-            lhs[i] = lhs.get(i, 0) + coef
-        rhs: dict[int, int] = {}
-        for name, coef, _ in rhs_terms:
-            i = index_of(name)
-            rhs[i] = rhs.get(i, 0) + coef
-        reactant = Complex.from_dict(lhs)
-        product = Complex.from_dict(rhs)
+        if semi:
+            start = b + len(rhs) + 1
+            m = _LABELS[reversible].fullmatch(label_text)
+            if m is None:
+                want = "two rate labels 'forward, reverse'" if reversible else "one rate label"
+                raise _expected(f"{want} after ';'", label_text, start, lineno)
+            explicit = [(m[g], start + m.start(g) + 1) for g in range(1, m.lastindex + 1)]
         if reactant == product:
-            raise ParseError(lineno, arrow[2], "reactant and product complexes are identical (self-loop)")
+            raise ParseError(lineno, a + 1, "reactant and product complexes are identical (self-loop)")
 
-        for name, col in explicit:
-            claim_label(name, lineno, col)
+        for name, column in explicit:
+            if name in labels_seen:
+                raise ParseError(
+                    lineno, column, f"duplicate rate label {name!r} (first used on line {labels_seen[name]})"
+                )
+            labels_seen[name] = lineno
         labels = [name for name, _ in explicit] or [None, None]
         pending.append((reactant, product, labels[0]))
         if reversible:
@@ -276,7 +219,7 @@ def parse_network(text: str) -> ReactionNetwork:
             label = f"k{num}"
             taken.add(label)
         reactions.append(Reaction(reactant, product, label))
-    return ReactionNetwork(tuple(species_order), tuple(reactions))
+    return ReactionNetwork(tuple(species), tuple(reactions))
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,8 @@ class RatMatrix:
         return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(tuple(d.items()) for d in self._entries)))
+        # __init__ takes a row dict as given, so equal rows may list their columns in another order
+        return hash((self.rows, self.cols, tuple(frozenset(d.items()) for d in self._entries)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))

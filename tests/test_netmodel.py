@@ -116,6 +116,42 @@ def test_parse_auto_labels_skip_explicit_labels():
     assert parse_network(net.render()) == net
 
 
+# The boundary cases of the line grammar: each accepted text pins the network
+# it renders to, each rejected one the (line, column) of its error.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2X -> Y", "2 X -> Y ; k1\n"),
+        ("12X -> Y", "12 X -> Y ; k1\n"),
+        ("0 -> A", "0 -> A ; k1\n"),
+        ("A -> 0", "A -> 0 ; k1\n"),
+        ("\u0663X -> Y", "3 X -> Y ; k1\n"),  # a Unicode digit is a coefficient
+        ("X\u00e9 -> Y", "X\u00e9 -> Y ; k1\n"),
+        ("A -> B\x0bB -> C", "A -> B ; k1\nB -> C ; k2\n"),
+        ("A -> B\r\nB -> C ; k1", "A -> B ; k2\nB -> C ; k1\n"),
+        ("00 -> A", (1, 1)),
+        ("0 X -> Y", (1, 1)),
+        ("2 3X -> Y", (1, 1)),
+        ("A - B -> C", (1, 3)),
+        ("A <- B", (1, 3)),
+        ("A -> B -> C", (1, 8)),
+        ("A -> B ;", (1, 9)),
+        ("A <-> B ; k1", (1, 11)),
+        ("A -> B ; k1, k2", (1, 10)),
+        ("A + -> B", (1, 5)),
+        ("A -> \u00e9", (1, 6)),
+        ("X <-> Y ; k1, k1", (1, 15)),
+    ],
+)
+def test_parse_line_grammar_boundaries(text, expected):
+    if isinstance(expected, str):
+        assert parse_network(text).render() == expected
+        return
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert (err.value.line, err.value.column) == expected
+
+
 def test_parse_star_coefficients_and_comments():
     net = parse_network("2*X + Y -> 3*Z # inline comment\n")
     rx = net.reactions[0]
@@ -178,12 +214,13 @@ def test_render_round_trip_random():
         assert parse_network(net.render()) == net
 
 
-# Parser fuzzing over the grammar's alphabet (A B 0-9 + * -> <-> ; , #,
-# whitespace, newlines): lines that follow the grammar, lines that nearly do
-# (zero coefficients, identical complexes, repeated labels) and junk.
-_NAME = st.sampled_from(["A", "B", "AB", "A1", "B20"])
+# Parser fuzzing over the grammar's alphabet (A B _ 0-9 + * -> <-> ; , #,
+# whitespace, newlines) plus a non-ASCII letter and digit, a stray '&', '\r'
+# and '\x0b': lines that follow the grammar, lines that nearly do (zero
+# coefficients, identical complexes, repeated labels) and junk.
+_NAME = st.sampled_from(["A", "B", "AB", "A1", "B20", "_", "X\u00e9", "\u00e9"])
 _LABEL = st.builds("{}{}".format, st.sampled_from("AB"), st.integers(0, 99))
-_TERM = st.builds("{}{}".format, st.sampled_from(["", "1 ", "2", "10 ", "3*", "2 * ", "0 "]), _NAME)
+_TERM = st.builds("{}{}".format, st.sampled_from(["", "1 ", "2", "10 ", "3*", "2 * ", "0 ", "\u0663"]), _NAME)
 _COMPLEX = st.one_of(st.just("0"), st.lists(_TERM, min_size=1, max_size=3).map(" + ".join))
 _IRREVERSIBLE = st.builds(
     "{} -> {}{}".format, _COMPLEX, _COMPLEX, st.one_of(st.just(""), _LABEL.map(" ; {}".format))
@@ -192,7 +229,10 @@ _REVERSIBLE = st.builds(
     "{} <-> {}{}".format, _COMPLEX, _COMPLEX, st.one_of(st.just(""), st.builds(" ; {}, {}".format, _LABEL, _LABEL))
 )
 _JUNK = st.lists(
-    st.sampled_from(["A", "B", "0", "1", "9", "+", "*", "->", "<->", ";", ",", "#", " ", "\t", "-", "<", ">"]),
+    st.sampled_from(
+        ["A", "B", "_", "\u00e9", "0", "1", "9", "\u0663", "+", "*", "->", "<->", ";", ",", "#"]
+        + [" ", "\t", "\r", "\x0b", "-", "<", ">", "&"]
+    ),
     max_size=12,
 ).map("".join)
 _LINE = st.one_of(_IRREVERSIBLE, _REVERSIBLE, _IRREVERSIBLE.map("{}  # A -> B".format), _JUNK, st.just(""))
@@ -203,7 +243,10 @@ _LINE = st.one_of(_IRREVERSIBLE, _REVERSIBLE, _IRREVERSIBLE.map("{}  # A -> B".f
 def test_parser_fuzz_raises_parse_error_or_round_trips(text):
     try:
         net = parse_network(text)
-    except ParseError:
+    except ParseError as err:
+        # the column lies on the line, comment excluded, or just past it
+        line = (text.splitlines() or [""])[err.line - 1].split("#", 1)[0]
+        assert 1 <= err.column <= len(line) + 1
         return
     assert parse_network(net.render()) == net
 

@@ -288,6 +288,9 @@ def test_sparse_products_agree_with_sympy(a, data):
     rows = [a.row(i) for i in range(a.rows)]
     assert [a.vstack(a).row(i) for i in range(2 * a.rows)] == rows + rows
     assert hash(a) == hash(RatMatrix.from_rows(rows, cols=a.cols))
+    # equal rows whose dicts list their columns in another order
+    assert RatMatrix(1, 2, [{1: 1, 0: 1}]) == RatMatrix.from_rows([[1, 1]])
+    assert hash(RatMatrix(1, 2, [{1: 1, 0: 1}])) == hash(RatMatrix.from_rows([[1, 1]]))
 
 
 def test_from_entries_drops_zeros_and_checks_indices():
