@@ -15,23 +15,26 @@ pivots all the way to Bland optimality.  The tableau rows and the reduced
 costs hold only their nonzero entries (N has a few per column), and a
 pivot touches only the rows with a nonzero in the entering column.
 
-The tableau starts from N's int rows, and the right-hand side, reduced
-costs and objective stay ints until a pivot divides by an entry other
-than 1; that quotient is an exact ``Fraction`` (or an int when it is
-integral), and the ratio test compares ratios by cross-multiplying, so
-the zero-pivot path builds no Fraction at all.  The witness holds ints
-and non-integral Fractions, like every ``RatMatrix`` value.  Witnesses
-are re-validated exactly before being returned; no infeasibility
-certificate is produced.
+The tableau is fraction-free: every row, the reduced costs included, is
+a dict of nonzero ints with the right-hand side as one more column, and
+a pivot updates a row as ``(piv/g)·row − (f/g)·pivot_row`` and divides
+it by its content.  Each row thus stays a positive multiple of the
+divided tableau's, so the signs, the ratios (compared by
+cross-multiplying) and Bland's pivots are the same.  The only division
+is the witness's: a basic value is the quotient of two entries of its
+row, a ``Fraction`` only when it is not an integer, like every
+``RatMatrix`` value.  Witnesses are re-validated exactly before being
+returned; no infeasibility certificate is produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd, lcm
 from typing import Optional
 
-from .ratmat import Rational, RatMatrix, add_multiple, quotient, rational
+from .ratmat import Rational, RatMatrix, _integral, divide_content, quotient, rational, row_update
 
 
 class ConeStatus(str, Enum):
@@ -52,52 +55,55 @@ class ConeResult:
 def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], nvars: int):
     """Minimize the sum of artificials for {A v = rhs, v >= 0}.
 
-    ``a_rows`` holds the nonzero entries of each row of A.  Returns the
-    attained optimum and the v part of the final basic solution.  Bland's
-    rule: entering column is the lowest index with a negative reduced
-    cost; the leaving row is the one whose basic variable has the lowest
-    index among the minimum-ratio ties.  The loop ends at a zero
-    objective, which is optimal, or when no reduced cost is negative.
-    Tableau rows and reduced costs keep only their nonzeros; the
-    right-hand side is a separate column.
+    ``a_rows`` holds the nonzero entries of each row of A.  Returns
+    whether the optimum is 0 (the system is feasible) and the v part of
+    the final basic solution.  Bland's rule: entering column is the
+    lowest index with a negative reduced cost; the leaving row is the one
+    whose basic variable has the lowest index among the minimum-ratio
+    ties.  The loop ends at a zero objective, which is optimal, or when
+    no reduced cost is negative.
+
+    Every row, the reduced-cost row included, is a dict of nonzero ints
+    with the right-hand side at column ``end = nvars + m``; the cost row
+    holds minus the objective there.
     """
     m = len(a_rows)
-    # make rhs nonnegative so the artificial basis is feasible
+    end = nvars + m
+    scaled = [_integral({**row, end: b} if b else row) for row, b in zip(a_rows, rhs)]
+    # the cost row is lcm(scales) times minus the sum of the divided rows,
+    # 0 at the artificials, which are basic
+    common = lcm(*(scale for scale, _ in scaled))
     tableau = []
-    rhs = list(rhs)
-    for i in range(m):
-        row = dict(a_rows[i])
-        if rhs[i] < 0:
+    cost: dict[int, int] = {}
+    for i, (scale, row) in enumerate(scaled):
+        # make rhs nonnegative so the artificial basis is feasible
+        if row.get(end, 0) < 0:
             row = {j: -x for j, x in row.items()}
-            rhs[i] = -rhs[i]
-        row[nvars + i] = 1
-        tableau.append(row)
-    basis = list(range(nvars, nvars + m))
-    # reduced costs for cost vector (0,...,0,1,...,1) under the artificial basis:
-    # zero on the artificials, minus the column sums on the rest
-    cost: dict[int, Rational] = {}
-    for row in tableau:
+        weight = common // scale
         for j, x in row.items():
-            if j < nvars:
-                cost[j] = cost.get(j, 0) - x
+            cost[j] = cost.get(j, 0) - weight * x
+        row[nvars + i] = scale
+        tableau.append(row)
     cost = {j: x for j, x in cost.items() if x}
-    objective = sum(rhs)
+    basis = list(range(nvars, nvars + m))
 
     # the objective is a sum of nonnegative artificials, so once it is 0
-    # every further pivot has step 0 and leaves the solution where it is
-    while objective:
-        entering = min((j for j, c in cost.items() if c.numerator < 0), default=None)
-        if entering is None:
+    # every further pivot has step 0 and leaves the solution where it is;
+    # while it is positive, end is a candidate and enters only at the optimum
+    while end in cost:
+        entering = min(j for j, c in cost.items() if c < 0)
+        if entering == end:
             break
         leaving = -1
         for i in range(m):
-            coeff = tableau[i].get(entering)
-            if coeff is None or coeff.numerator <= 0:
+            coeff = tableau[i].get(entering, 0)
+            if coeff <= 0:
                 continue
             if leaving >= 0:
-                # ratio rhs[i] / coeff against the best so far, cross-multiplied
+                # ratio rhs_i / coeff against the best so far, cross-multiplied
                 # (both coefficients are positive)
-                ratio, best = rhs[i] * tableau[leaving][entering], rhs[leaving] * coeff
+                best_row = tableau[leaving]
+                ratio, best = tableau[i].get(end, 0) * best_row[entering], best_row.get(end, 0) * coeff
                 if ratio > best or (ratio == best and basis[i] > basis[leaving]):
                     continue
             leaving = i
@@ -106,28 +112,19 @@ def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], n
             raise RuntimeError("unbounded phase-1 objective")
         piv_row = tableau[leaving]
         piv = piv_row[entering]
-        if piv != 1:
-            tableau[leaving] = piv_row = {j: quotient(x, piv) for j, x in piv_row.items()}
-            rhs[leaving] = quotient(rhs[leaving], piv)
-        b = rhs[leaving]
-        for i in range(m):
-            if i != leaving:
-                row = tableau[i]
-                f = row.get(entering)
-                if f is not None:
-                    add_multiple(row, -f, piv_row)
-                    rhs[i] -= f * b
-        f = cost.get(entering)
-        if f is not None:
-            add_multiple(cost, -f, piv_row)
-            objective += f * b
+        for row in (*tableau, cost):
+            f = row.get(entering)
+            if f is not None and row is not piv_row:
+                g = gcd(piv, f)
+                row_update(row, piv // g, f // g, piv_row)
+                divide_content(row)
         basis[leaving] = entering
 
     solution = [0] * nvars
-    for i, var in enumerate(basis):
+    for row, var in zip(tableau, basis):
         if var < nvars:
-            solution[var] = rhs[i]
-    return objective, solution
+            solution[var] = quotient(row.get(end, 0), row[var])
+    return end not in cost, solution
 
 
 def positive_kernel_vector(n_mat: RatMatrix) -> ConeResult:
@@ -141,8 +138,8 @@ def positive_kernel_vector(n_mat: RatMatrix) -> ConeResult:
         raise ValueError("cone feasibility needs at least one column")
     a_rows = [n_mat.entries(i) for i in range(n_mat.rows)]
     rhs = [-sum(row.values()) for row in a_rows]
-    optimum, v = _phase_one_simplex(a_rows, rhs, r)
-    if optimum != 0:
+    feasible, v = _phase_one_simplex(a_rows, rhs, r)
+    if not feasible:
         return ConeResult(ConeStatus.EMPTY, None)
     w = tuple(rational(x + 1) for x in v)
     residual = n_mat.mul_vec(w)

@@ -11,6 +11,8 @@ A network file (``.crn``) holds one reaction per line::
   positive decimal integer and defaults to 1.  A species name or label
   is a letter or ``_`` followed by letters, digits and ``_``.
 * ``#`` starts a comment; blank lines are skipped.
+* A line ends at LF, CRLF or a lone CR, as an editor counts lines; other
+  separators (form feed, vertical tab, U+2028, ...) are whitespace.
 * Rate labels follow ``;``: one label, or two comma-separated labels for
   ``<->``, forward first.  Labels must be unique.  An omitted label is
   ``k<i>`` for the reaction's position ``i`` (1-based, after splitting)
@@ -167,7 +169,9 @@ def parse_network(text: str) -> ReactionNetwork:
     # (reactant, product, explicit label or None), one per irreversible reaction
     pending: list[tuple[Complex, Complex, Optional[str]]] = []
     labels_seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at LF, CRLF or CR only; str.splitlines would also break at \f, \x0b, \u2028, ...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

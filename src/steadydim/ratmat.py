@@ -254,9 +254,7 @@ class RatMatrix:
                 row_update(vec, a, b, piv)
                 steps.append((k, a, b))
             if vec:
-                content = gcd(*vec.values())
-                if content != 1:
-                    vec = {j: x // content for j, x in vec.items()}
+                content = divide_content(vec)
                 lead_of[min(vec)] = len(reduced)
                 reduced.append(vec)
                 profile.append(i)
@@ -418,14 +416,13 @@ def row_update(target: dict, a: int, b: int, source: dict) -> None:
             del target[j]
 
 
-def add_multiple(target: dict, f, source: dict) -> None:
-    """target += f * source on sparse rows, dropping the entries that cancel."""
-    for j, x in source.items():
-        y = target.get(j, 0) + f * x
-        if y:
-            target[j] = y
-        else:
-            del target[j]
+def divide_content(row: dict[int, int]) -> int:
+    """Divide a nonzero int row by its content (the gcd of its entries) in place; return the content."""
+    content = gcd(*row.values())
+    if content != 1:
+        for j in row:
+            row[j] //= content
+    return content
 
 
 def rank_mod_p(rows: Sequence[Mapping[int, Rational]]) -> int:

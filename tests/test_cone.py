@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,12 @@ from sympy.solvers.simplex import InfeasibleLPError, linprog
 from steadydim import cone
 from steadydim.cone import ConeResult, ConeStatus, _phase_one_simplex, positive_kernel_vector
 from steadydim.netmodel import NetworkMatrices, parse_network
-from steadydim.ratmat import RatMatrix, add_multiple
+from steadydim.ratmat import RatMatrix, row_update
 
 from conftest import NETWORK_MATRICES, random_network, random_rational_matrix
 
-CHAIN12 = Path(__file__).resolve().parent / "data" / "chain12.crn"
+DATA = Path(__file__).resolve().parent / "data"
+CHAIN12 = DATA / "chain12.crn"
 
 
 def sympy_cone_feasible(m: RatMatrix) -> bool:
@@ -117,12 +119,23 @@ def test_against_sympy_lp_oracle():
 
 
 def bland_to_optimality(a_rows, rhs, nvars):
-    """Reference phase 1: the same tableau and Bland pivots, run until no
+    """Reference phase 1: the divided tableau and Bland pivots, run until no
     reduced cost is negative, however long the objective has been 0.
 
-    Every value is converted to a Fraction first, so the reference runs in
-    plain exact arithmetic (its ratios divide with ``/``), apart from the
-    int values and cross-multiplied ratios of the simplex under test."""
+    Every value is a Fraction, each pivot row is divided by its pivot, and
+    ratios divide with ``/``: plain exact arithmetic, apart from the int
+    rows, right-hand-side column and cross-multiplied ratios of the simplex
+    under test."""
+
+    def subtract(target, f, source):
+        # target -= f * source on sparse rows, dropping the entries that cancel
+        for j, x in source.items():
+            y = target.get(j, 0) - f * x
+            if y:
+                target[j] = y
+            else:
+                del target[j]
+
     m = len(a_rows)
     tableau, rhs = [], [Fraction(x) for x in rhs]
     for i in range(m):
@@ -158,11 +171,11 @@ def bland_to_optimality(a_rows, rhs, nvars):
         for i in range(m):
             f = tableau[i].get(entering)
             if i != leaving and f is not None:
-                add_multiple(tableau[i], -f, piv_row)
+                subtract(tableau[i], f, piv_row)
                 rhs[i] -= f * b
         f = cost.get(entering)
         if f is not None:
-            add_multiple(cost, -f, piv_row)
+            subtract(cost, f, piv_row)
             objective += f * b
         basis[leaving] = entering
     solution = [Fraction(0)] * nvars
@@ -177,10 +190,34 @@ def test_phase_one_makes_no_pivot_when_the_ones_vector_is_in_the_kernel(monkeypa
     # the objective starts at 0; running on to Bland optimality takes 11 pivots
     mats = NetworkMatrices.from_network(parse_network(CHAIN12.read_text()))
     calls = []
-    monkeypatch.setattr(cone, "add_multiple", lambda *args: calls.append(args) or add_multiple(*args))
+    monkeypatch.setattr(cone, "row_update", lambda *args: calls.append(args) or row_update(*args))
     res = positive_kernel_vector(mats.n_mat)
     assert calls == []
     assert res.witness == (1,) * mats.r
+
+
+def test_phase_one_pivots_keep_primitive_int_rows(monkeypatch):
+    # the empty cone's pivots meet entries that do not divide each other, so
+    # the divided tableau would hold non-integral values; here each updated
+    # row is divided by its content right after its update
+    mats = NetworkMatrices.from_network(parse_network((DATA / "empty_cone.crn").read_text()))
+    touched, rows, factors = [], [], []
+
+    def spy(target, a, b, source):
+        # the last updated row is complete by the time the next update starts
+        if touched:
+            rows.append(dict(touched[-1]))
+        row_update(target, a, b, source)
+        touched.append(target)
+        factors.append(a)
+
+    monkeypatch.setattr(cone, "row_update", spy)
+    assert positive_kernel_vector(mats.n_mat).status is ConeStatus.EMPTY
+    rows.append(dict(touched[-1]))
+    assert any(a != 1 for a in factors)
+    for row in rows:
+        assert row and all(x.__class__ is int for x in row.values())
+        assert gcd(*row.values()) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -194,4 +231,5 @@ def test_phase_one_agrees_with_the_run_to_optimality(mats, data):
         a_rows = [m.entries(i) for i in range(m.rows)]
         x0 = data.draw(st.lists(st.integers(0, 2), min_size=m.cols, max_size=m.cols))
         for rhs in ([-sum(row.values(), Fraction(0)) for row in a_rows], list(m.mul_vec(x0))):
-            assert _phase_one_simplex(a_rows, rhs, m.cols) == bland_to_optimality(a_rows, rhs, m.cols)
+            objective, solution = bland_to_optimality(a_rows, rhs, m.cols)
+            assert _phase_one_simplex(a_rows, rhs, m.cols) == (objective == 0, solution)

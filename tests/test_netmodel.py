@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -127,7 +128,8 @@ def test_parse_auto_labels_skip_explicit_labels():
         ("A -> 0", "A -> 0 ; k1\n"),
         ("\u0663X -> Y", "3 X -> Y ; k1\n"),  # a Unicode digit is a coefficient
         ("X\u00e9 -> Y", "X\u00e9 -> Y ; k1\n"),
-        ("A -> B\x0bB -> C", "A -> B ; k1\nB -> C ; k2\n"),
+        # only LF, CRLF and a lone CR end a line: \x0b, \f and \u2028 are whitespace
+        ("A -> B\x0bB -> C", (1, 10)),
         ("A -> B\r\nB -> C ; k1", "A -> B ; k2\nB -> C ; k1\n"),
         ("00 -> A", (1, 1)),
         ("0 X -> Y", (1, 1)),
@@ -141,6 +143,8 @@ def test_parse_auto_labels_skip_explicit_labels():
         ("A + -> B", (1, 5)),
         ("A -> \u00e9", (1, 6)),
         ("X <-> Y ; k1, k1", (1, 15)),
+        ("A -> B\fB -> B", (1, 10)),
+        ("A -> B\u2028B -> C", (1, 10)),
     ],
 )
 def test_parse_line_grammar_boundaries(text, expected):
@@ -216,8 +220,9 @@ def test_render_round_trip_random():
 
 # Parser fuzzing over the grammar's alphabet (A B _ 0-9 + * -> <-> ; , #,
 # whitespace, newlines) plus a non-ASCII letter and digit, a stray '&', '\r'
-# and '\x0b': lines that follow the grammar, lines that nearly do (zero
-# coefficients, identical complexes, repeated labels) and junk.
+# and the separators '\x0b', '\f' and '\u2028', which do not end a line:
+# lines that follow the grammar, lines that nearly do (zero coefficients,
+# identical complexes, repeated labels) and junk.
 _NAME = st.sampled_from(["A", "B", "AB", "A1", "B20", "_", "X\u00e9", "\u00e9"])
 _LABEL = st.builds("{}{}".format, st.sampled_from("AB"), st.integers(0, 99))
 _TERM = st.builds("{}{}".format, st.sampled_from(["", "1 ", "2", "10 ", "3*", "2 * ", "0 ", "\u0663"]), _NAME)
@@ -231,7 +236,7 @@ _REVERSIBLE = st.builds(
 _JUNK = st.lists(
     st.sampled_from(
         ["A", "B", "_", "\u00e9", "0", "1", "9", "\u0663", "+", "*", "->", "<->", ";", ",", "#"]
-        + [" ", "\t", "\r", "\x0b", "-", "<", ">", "&"]
+        + [" ", "\t", "\r", "\x0b", "\f", "\u2028", "-", "<", ">", "&"]
     ),
     max_size=12,
 ).map("".join)
@@ -245,7 +250,7 @@ def test_parser_fuzz_raises_parse_error_or_round_trips(text):
         net = parse_network(text)
     except ParseError as err:
         # the column lies on the line, comment excluded, or just past it
-        line = (text.splitlines() or [""])[err.line - 1].split("#", 1)[0]
+        line = re.split(r"\r\n?|\n", text)[err.line - 1].split("#", 1)[0]
         assert 1 <= err.column <= len(line) + 1
         return
     assert parse_network(net.render()) == net

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -639,3 +641,14 @@ def test_analyze_verdict_implication_random():
         report = analyze(net, SamplerConfig(seed=rng.randint(0, 10**6)))
         if report.F_verdict.nondegenerate:
             assert report.f_verdict.nondegenerate
+
+
+def test_bench_retry_count_is_the_samplers(monkeypatch):
+    # bench/run.py keeps its own copy of the retry count to tell first-round
+    # hits from hunts in the reports it reads
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.RETRIES == nondegen._RETRIES
