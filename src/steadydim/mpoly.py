@@ -14,14 +14,24 @@ that a list of rows and a list of column indices select (Laplace
 expansion along the sparsest remaining row, every sub-minor computed once
 per call), and a short-circuiting test that every k x k minor vanishes:
 over the minors that border a known nonsingular (k-1)-submatrix
-(Kronecker's rank theorem), or over all of them.
+(Kronecker's rank theorem), or over all of them.  A bordering minor is
+decided block by block: the nonsingular submatrix splits into square
+blocks, the connected components of its graph of nonzero entries, and
+the minor is 0 exactly when the determinant of its added row and column
+joined with the blocks that both meet is.  When they meet none and
+cross at a zero entry, that is known with no arithmetic.  Only the first
+nonzero minor, the witness, is expanded in full.
+
+Multiplying by an int or a Fraction scales the coefficients, and adding
+the int 0 returns the polynomial itself, without the general product or
+sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -75,6 +85,8 @@ class MPoly:
         return None
 
     def __add__(self, other) -> "MPoly":
+        if isinstance(other, (int, Fraction)) and not other:
+            return self  # sum() and row.get(j, 0) start from the int 0
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -95,6 +107,8 @@ class MPoly:
         return self + (-o)
 
     def __mul__(self, other) -> "MPoly":
+        if isinstance(other, (int, Fraction)):
+            return MPoly({m: c * other for m, c in self._terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -183,25 +197,6 @@ class MinorWitness(NamedTuple):
     poly: MPoly
 
 
-def bordering_minors(
-    nrows: int, ncols: int, basis: tuple[Sequence[int], Sequence[int]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Index sets of the minors that border the submatrix ``basis``.
-
-    ``basis = (rows, cols)`` selects a square submatrix; each bordering
-    minor adds one row outside ``rows`` and one column outside ``cols``.
-    Yields ``(rows', cols')`` as sorted tuples, added row ascending, then
-    added column ascending: (nrows - k)(ncols - k) sets for a k x k basis.
-    """
-    rows, cols = basis
-    free_rows = [i for i in range(nrows) if i not in rows]
-    free_cols = [j for j in range(ncols) if j not in cols]
-    for i in free_rows:
-        rset = tuple(sorted((*rows, i)))
-        for j in free_cols:
-            yield rset, tuple(sorted((*cols, j)))
-
-
 def all_minors_zero(
     rows: Sequence[Mapping[int, MPoly]],
     ncols: int,
@@ -213,14 +208,30 @@ def all_minors_zero(
     The matrix is ``rows``, one dict {column: nonzero MPoly} per row, over
     the columns 0..``ncols``-1.  Returns ``(True, None)`` when all minors
     vanish identically, which proves the symbolic rank is < k.  Otherwise
-    returns ``(False, witness)`` for the first nonzero minor found.
+    returns ``(False, witness)`` for the first nonzero minor found, with
+    its rows and columns ascending and its determinant.
 
     ``basis = (rows, cols)`` names a (k-1) x (k-1) submatrix whose
     determinant is a nonzero polynomial (the caller's guarantee).  Then
-    only the minors bordering it are computed: by Kronecker's theorem they
+    only the minors bordering it are decided: by Kronecker's theorem they
     all vanish exactly when every k x k minor does, so the answer is the
-    same, and a witness borders ``basis``.  They are taken in
-    ``bordering_minors`` order.
+    same, and a witness borders ``basis``.  A bordering minor adds one row
+    i outside ``rows`` and one column j outside ``cols``; they are taken
+    added row ascending, then added column ascending.  Each is decided
+    block by block, from the connected components of the basis
+    submatrix's bipartite graph of nonzero entries.  Each component is
+    square with a nonzero determinant, since the basis is nonsingular.
+    In the minor, the rows of a component that column j does not meet
+    have no entry outside the component's columns, and the columns of a
+    component that row i does not meet have none outside its rows.  So
+    the minor is, up to sign, the determinant of the joined block (row i,
+    column j and every component that both of them meet) times those of
+    the other components, and it is 0 exactly when the joined block's
+    determinant is.  If j is not an entry of row i and the two meet no
+    common component, that block is the 1 x 1 zero and no arithmetic is
+    done.  The full minor is computed only for the witness.  A basis
+    whose graph has a component that is not square, or a column with no
+    entry, is singular and raises ValueError.
 
     Without ``basis`` every minor is scanned.  Rows and columns are then
     sorted by ascending nonzero count (ties by index), subsets in
@@ -234,23 +245,78 @@ def all_minors_zero(
         return False, MinorWitness((), (), MPoly.const(1))
 
     if basis is not None:
-        basis_rows, basis_cols = basis
-        for idx, bound in ((basis_rows, nrows), (basis_cols, ncols)):
+        for idx, bound in zip(basis, (nrows, ncols)):
             if len(idx) != k - 1 or len(set(idx)) != k - 1 or not all(0 <= x < bound for x in idx):
                 raise ValueError(f"basis {basis} is not a {k - 1}x{k - 1} submatrix")
-        subsets: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] = bordering_minors(
-            nrows, ncols, basis
-        )
-    else:
-        row_order = sorted(range(nrows), key=lambda i: (len(rows[i]), i))
-        col_order = sorted(range(ncols), key=lambda j: (sum(j in row for row in rows), j))
-        subsets = (
-            (tuple(sorted(rsel)), tuple(sorted(csel)))
-            for rsel in combinations(row_order, k)
-            for csel in combinations(col_order, k)
-        )
+        return _bordering_minors_zero(rows, ncols, *basis)
+
+    row_order = sorted(range(nrows), key=lambda i: (len(rows[i]), i))
+    col_order = sorted(range(ncols), key=lambda j: (sum(j in row for row in rows), j))
+    subsets = (
+        (tuple(sorted(rsel)), tuple(sorted(csel)))
+        for rsel in combinations(row_order, k)
+        for csel in combinations(col_order, k)
+    )
     for rset, cset in subsets:
         d = det([rows[i] for i in rset], cset)
         if not d.is_zero():
             return False, MinorWitness(rset, cset, d)
+    return True, None
+
+
+def _bordering_minors_zero(
+    rows: Sequence[Mapping[int, MPoly]], ncols: int, basis_rows: Sequence[int], basis_cols: Sequence[int]
+) -> tuple[bool, Optional[MinorWitness]]:
+    """``all_minors_zero`` over the minors bordering the basis, block by block."""
+    colset = set(basis_cols)
+    col_rows: dict[int, list[int]] = {}  # the basis rows that hold each column
+    for r in basis_rows:
+        for c in rows[r]:
+            col_rows.setdefault(c, []).append(r)
+    # the basis graph's components, each as its rows and its columns
+    comp_rows: list[list[int]] = []
+    comp_cols: list[list[int]] = []
+    row_comp: dict[int, int] = {}
+    col_comp: dict[int, int] = {}
+    for start in basis_rows:
+        if start in row_comp:
+            continue
+        label = row_comp[start] = len(comp_rows)
+        comp_rows.append([])
+        comp_cols.append([])
+        stack = [start]
+        while stack:
+            r = stack.pop()
+            comp_rows[label].append(r)
+            for c in rows[r]:
+                if c in colset and c not in col_comp:
+                    col_comp[c] = label
+                    comp_cols[label].append(c)
+                    for r2 in col_rows[c]:
+                        if r2 not in row_comp:
+                            row_comp[r2] = label
+                            stack.append(r2)
+    if len(col_comp) < len(colset) or any(len(a) != len(b) for a, b in zip(comp_rows, comp_cols)):
+        raise ValueError(f"basis {(tuple(basis_rows), tuple(basis_cols))} is singular")
+
+    # the components that each column outside the basis meets
+    col_touch = {j: {row_comp[r] for r in col_rows.get(j, ())} for j in range(ncols) if j not in colset}
+    for i in range(len(rows)):
+        if i in row_comp:
+            continue
+        row = rows[i]
+        touched = {col_comp[c] for c in row if c in colset}
+        for j, j_touched in col_touch.items():
+            joined = touched & j_touched
+            if j not in row and not joined:
+                continue
+            block_rows = sorted([i, *(r for b in joined for r in comp_rows[b])])
+            block_cols = sorted([j, *(c for b in joined for c in comp_cols[b])])
+            d = det([rows[r] for r in block_rows], block_cols)
+            if d:
+                rset = tuple(sorted((*basis_rows, i)))
+                cset = tuple(sorted((*basis_cols, j)))
+                if len(block_rows) < len(rset):
+                    d = det([rows[r] for r in rset], cset)
+                return False, MinorWitness(rset, cset, d)
     return True, None

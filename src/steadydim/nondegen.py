@@ -15,16 +15,20 @@ against numbers or polynomials alike into sparse rows, one dict
 {column: nonzero entry} per row, so a sample costs time in its nonzeros,
 not in s x n.  Each target rank is tested at random integer points,
 straight from the integer matrices: a sample's rank modulo the prime
-2^61 - 1 never exceeds its exact rank, so reaching the target proves it,
-and exact rational elimination decides every other sample.  Only if
-every sample falls short is the polynomial matrix built, in the same
-sparse rows with MPoly entries, over the variables u_t (index t) and h_j
-(index u_dim + j): the best sample has rank rho and a nonsingular
-rho x rho submatrix; its bordering (rho+1)-minors, each read from the
-rows it lists, either all vanish, which proves the rank is rho
-everywhere (Kronecker's theorem, a symbolic certificate), or one of them
-is a nonzero polynomial that drives the sampling to a point of higher
-rank, until the target is reached.  When the first matrix is rank
+2^61 - 1 never exceeds its exact rank, so reaching the target proves it.
+Exact rational elimination runs only where it decides something: on the
+samples before a modular witness, and, when every sample falls short
+modulo p, on those up to the first of highest modular rank.  Only then
+is the polynomial matrix built, in the same sparse rows with MPoly
+entries, over the variables u_t (index t) and h_j (index u_dim + j): the
+best of the samples ranked exactly has rank rho and a nonsingular
+rho x rho submatrix; its bordering (rho+1)-minors, each decided from the
+blocks of that submatrix, either all vanish, which proves the rank is
+rho everywhere (Kronecker's theorem, a symbolic certificate), so no
+other sample ranks higher, or one of them is a nonzero polynomial.  Then
+the other samples are ranked exactly too, and the nonzero minor of the
+best of them all drives the sampling to a point of higher rank, until
+the target is reached.  When the first matrix is rank
 deficient everywhere, so is the second, and its test is skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
@@ -44,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
-from .mpoly import MinorWitness, MPoly, all_minors_zero, bordering_minors
+from .mpoly import MinorWitness, MPoly, all_minors_zero
 from .netmodel import NetworkMatrices, ReactionNetwork
 from .ratmat import RatMatrix, rank_mod_p
 
@@ -242,7 +246,8 @@ def _bordering_certificate(
     u_vals: tuple[int, ...],
     h_vals: Optional[tuple[int, ...]],
 ) -> tuple[str, ...]:
-    """Certificate lines: header, the sample, then every bordering minor."""
+    """Certificate lines: header, the sample, then every bordering minor,
+    added row ascending, then added column ascending."""
     rows, cols = basis
     lines = [
         f"rank {len(rows)} < {target}: minor rows={_indices(rows)} cols={_indices(cols)} "
@@ -251,8 +256,9 @@ def _bordering_certificate(
     ]
     if h_vals is not None:
         lines.append("sample h:" + "".join(f" {x}" for x in h_vals))
-    for rset, cset in bordering_minors(*shape, basis):
-        lines.append(f"minor rows={_indices(rset)} cols={_indices(cset)}: 0")
+    row_sets = [_indices(sorted((*rows, i))) for i in range(shape[0]) if i not in rows]
+    col_sets = [_indices(sorted((*cols, j))) for j in range(shape[1]) if j not in cols]
+    lines += [f"minor rows={r} cols={c}: 0" for r in row_sets for c in col_sets]
     return tuple(lines)
 
 
@@ -275,20 +281,28 @@ def generic_rank_test(
     function at the variables u1.., h1...
 
     Up to ``_RETRIES`` samples first.  A sample is ranked modulo the
-    prime ``ratmat.MODULUS`` first: that rank never exceeds the exact
-    rank, so when it reaches ``target`` the sample is a proven witness
-    without rational arithmetic.  Every other sample is row-reduced once
-    over Q, and the exact ranks alone choose the best sample, the basis
-    and the certificate.  If all fall short, the polynomial matrix is
-    built, and the highest-rank sample (rank rho, the first of equals)
-    gives a nonsingular rho x rho submatrix (R, C) from that same
-    reduction: R its row-rank profile (each row independent of the rows
-    before it) and C its pivot columns.  Only the minors bordering (R, C)
-    are computed symbolically:
+    prime ``ratmat.MODULUS`` as it is drawn: that rank never exceeds the
+    exact rank, so when it reaches ``target`` the sample is a proven
+    witness without rational arithmetic (after the samples before it, if
+    any, are row-reduced over Q, since one of them may reach ``target``
+    there).  If none does, the samples up to the first one of highest
+    modular rank are row-reduced once over Q, in order.  The witness is
+    always the first sample whose exact rank reaches ``target``, and
+    ``samples_tried`` counts the samples up to it.  Otherwise the
+    polynomial matrix is built, and the highest exact rank among them
+    (rho, the first of equals) gives a nonsingular rho x rho submatrix
+    (R, C) from that same reduction: R its row-rank profile (each row
+    independent of the rows before it) and C its pivot columns.  Only the
+    minors bordering (R, C) are decided symbolically:
 
-      * all zero: the rank is rho over Q(u, h), so AllDegenerate, with a
-        certificate naming (R, C), the sample and every bordering minor;
-      * one nonzero: it is sampled until it evaluates nonzero (doubling
+      * all zero: the rank is rho over Q(u, h), so no later sample ranks
+        higher and this one is the best of all of them; AllDegenerate,
+        with a certificate naming (R, C), the sample and every bordering
+        minor;
+      * one nonzero: the later samples are row-reduced over Q too, as
+        above, and the loop restarts from the best of all the samples if
+        one of them ranks higher.  Then the nonzero minor is sampled
+        until it evaluates nonzero (doubling
         the sample bound whenever a round of ``_PIT_BUDGET`` samples is
         exhausted).  The rank there exceeds rho; if it reaches the target
         that point is the witness, otherwise the loop repeats from it.
@@ -345,27 +359,53 @@ def generic_rank_test(
                     return u_vals, h_vals
             bound *= 2
 
+    drawn = []  # (u_vals, h_vals, rows) of each sample short of the target mod p
+    modular = []  # and its rank mod p
     best = None  # (rank, evaluated matrix, u_vals, h_vals) of the best sample
+    ranked = 0  # the samples drawn[:ranked] are ranked exactly
+
+    def rank_exactly(stop):
+        """Rank drawn[ranked:stop] over Q: the verdict of the first that
+        reaches the target, else None."""
+        nonlocal best, ranked
+        for t in range(ranked, stop):
+            u_vals, h_vals, rows = drawn[t]
+            evaluated = RatMatrix.from_entries(len(rows), cols, rows)
+            rank = evaluated.rank()
+            if rank >= target:
+                return verdict_for(u_vals, h_vals, t + 1)
+            if best is None or rank > best[0]:
+                best = (rank, evaluated, u_vals, h_vals)
+        ranked = stop
+        return None
+
     for _ in range(_RETRIES):
         u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
-        rank, evaluated = evaluate(u_vals, h_vals)
-        if rank >= target:
-            return verdict_for(u_vals, h_vals, samples)
-        if best is None or rank > best[0]:
-            best = (rank, evaluated, u_vals, h_vals)
-
-    rank, evaluated, u_vals, h_vals = best
+        rows = matrix(u_vals, h_vals)
+        modular.append(rank_mod_p(rows))  # as in ``evaluate``
+        if modular[-1] >= target:
+            # a sample before it, short mod p, may reach the target over Q
+            return rank_exactly(len(drawn)) or verdict_for(u_vals, h_vals, samples)
+        drawn.append((u_vals, h_vals, rows))
     # no sample reaches a target above the matrix's size, so checking here covers it
-    if target > min(evaluated.rows, evaluated.cols):
-        raise ValueError(f"target rank {target} out of range for {evaluated.rows}x{evaluated.cols}")
+    if target > min(len(rows), cols):
+        raise ValueError(f"target rank {target} out of range for {len(rows)}x{cols}")
+
+    # the samples up to the first of highest rank mod p, the likely best
+    verdict = rank_exactly(modular.index(max(modular)) + 1)
+    if verdict is not None:
+        return verdict
     symbolic = _symbolic(matrix, u_dim, h_dim)
     while True:
+        rank, evaluated, u_vals, h_vals = best
         # the sample's row-rank profile and pivot columns: a nonsingular
         # rank x rank submatrix, from the elimination that ranked the sample
         basis = (evaluated.row_profile(), evaluated.pivot_columns())
         vanish, witness = all_minors_zero(symbolic, cols, rank + 1, basis=basis)
         if vanish:
+            # the generic rank is ``rank``: no later sample ranks higher,
+            # so this is the best of all the samples
             return GenericRankVerdict(
                 target_rank=target,
                 status=RankTestStatus.ALL_DEGENERATE,
@@ -377,11 +417,19 @@ def generic_rank_test(
                 ),
                 samples_tried=samples,
             )
+        if ranked < len(drawn):
+            # hunt from the best of all the samples
+            verdict = rank_exactly(len(drawn))
+            if verdict is not None:
+                return verdict
+            if best[1] is not evaluated:
+                continue
 
         u_vals, h_vals = hunt(witness)
         rank, evaluated = evaluate(u_vals, h_vals)
         if rank >= target:
             return verdict_for(u_vals, h_vals, samples)
+        best = (rank, evaluated, u_vals, h_vals)
 
 
 # -- pointwise checks ------------------------------------------------------

@@ -102,6 +102,36 @@ def random_network(rng: random.Random, max_species: int = 6, max_reactions: int 
     return parse_network("\n".join(lines))
 
 
+def example42_family_text(k: int, d: int) -> str:
+    """``k`` renamed copies of example42 plus ``d`` reversible pairs A_j <-> B_j."""
+    lines = []
+    for b in range(1, k + 1):
+        lines += [
+            f"X{b} -> Y{b}",
+            f"X{b} -> Z{b}",
+            f"Y{b} + Z{b} -> X{b} + Y{b} + Z{b}",
+            f"Y{b} + Z{b} -> 0",
+        ]
+    lines += [f"A{j} <-> B{j}" for j in range(1, d + 1)]
+    return "\n".join(lines)
+
+
+def bordering_minors(nrows: int, ncols: int, basis):
+    """Index sets of the minors bordering ``basis = (rows, cols)`` (test oracle).
+
+    Each adds one row outside ``rows`` and one column outside ``cols``;
+    yields ``(rows', cols')`` as sorted tuples, added row ascending, then
+    added column ascending, the order of the certificate's minor lines.
+    """
+    rows, cols = basis
+    free_rows = [i for i in range(nrows) if i not in rows]
+    free_cols = [j for j in range(ncols) if j not in cols]
+    for i in free_rows:
+        rset = tuple(sorted((*rows, i)))
+        for j in free_cols:
+            yield rset, tuple(sorted((*cols, j)))
+
+
 @st.composite
 def raw_matrices(draw) -> NetworkMatrices:
     """from_matrices input with a non-integral n_mat and a negative exponent."""

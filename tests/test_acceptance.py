@@ -35,6 +35,7 @@ from conftest import (
     CALCIUM_GAMMA,
     cofactor_det,
     dict_rows,
+    example42_family_text,
     fixture_path,
     parse_certificate,
     random_network,
@@ -364,25 +365,11 @@ def test_criterion_6_synthetic_large_network(capsys):
         _report("6", "86-species synthetic chain", elapsed, 10.0)
 
 
-def _example42_family_text(k: int, d: int) -> str:
-    """``k`` renamed copies of example42 plus ``d`` reversible pairs A_j <-> B_j."""
-    lines = []
-    for b in range(1, k + 1):
-        lines += [
-            f"X{b} -> Y{b}",
-            f"X{b} -> Z{b}",
-            f"Y{b} + Z{b} -> X{b} + Y{b} + Z{b}",
-            f"Y{b} + Z{b} -> 0",
-        ]
-    lines += [f"A{j} <-> B{j}" for j in range(1, d + 1)]
-    return "\n".join(lines)
-
-
 def test_criterion_7_replicated_degenerate_network(capsys):
     # every example42 block and every reversible pair adds 1 to the generic
     # rank of the f matrix, so rho = k + d = 9 < s = 17; the certificate
     # lists the (s - rho)(n - rho) minors bordering one nonsingular 9x9 block
-    net = parse_network(_example42_family_text(4, 5))
+    net = parse_network(example42_family_text(4, 5))
     t0 = time.perf_counter()
     report = analyze(net, SamplerConfig(seed=2024))
     elapsed = time.perf_counter() - t0

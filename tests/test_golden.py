@@ -3,8 +3,10 @@
 ``tests/data/golden_reports.jsonl`` holds one record per (input, seed):
 every fixture and every network in ``tests/data`` at seeds 0 and 7.
 Those are the criterion-6 chains of 12 and 30 species
-(``chain*.crn``), the replicated ``example42_family(3, 3)`` of
-``bench/workloads.py``, which takes the certificate path, and two random
+(``chain*.crn``), the replicated ``example42_family(3, 3)`` and
+``example42_family(8, 10)`` of ``bench/workloads.py``, which take the
+certificate path (the second one's 418-line certificate borders a basis
+of 18 blocks, so it pins the block-by-block minor test), and two random
 networks of its ``screen_small`` workload at seed 0: ``empty_cone.crn``
 (``random003``), whose cone is empty and whose simplex pivots through
 non-integral ratios, and ``fractional_rref.crn`` (``random001``), whose

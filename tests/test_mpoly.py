@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from steadydim.mpoly import MinorWitness, MPoly, all_minors_zero, det
 
-from conftest import cofactor_det, dict_rows
+from conftest import bordering_minors, cofactor_det, dict_rows
 
 # variables u1, u2, h1 are 0, 1, 2
 U1, U2, H1 = 0, 1, 2
@@ -294,6 +294,92 @@ def test_all_minors_zero_bordering_agrees_with_full_scan():
                 sub = [[m[i][j] for j in witness.cols] for i in witness.rows]
                 assert witness.poly == det(dict_rows(sub), range(k)) and not witness.poly.is_zero()
     assert decided[True] > 0 and decided[False] > 0
+
+
+def _block_matrix(rng: random.Random) -> list[list[MPoly]]:
+    """Up to three blocks of linear forms on the diagonal, each sparse or a
+    product of lower inner dimension, a few entries linking them, then the
+    rows and the columns shuffled."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        nr, nc = rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            inner = rng.randint(0, min(nr, nc))
+            a = [[_linear_form(rng) for _ in range(inner)] for _ in range(nr)]
+            b = [[_linear_form(rng) for _ in range(nc)] for _ in range(inner)]
+            block = [[sum((a[i][t] * b[t][j] for t in range(inner)), MPoly()) for j in range(nc)] for i in range(nr)]
+        else:
+            block = [[_linear_form(rng) if rng.random() < 0.6 else MPoly() for _ in range(nc)] for _ in range(nr)]
+        blocks.append(block)
+    nrows, ncols = sum(len(b) for b in blocks), sum(len(b[0]) for b in blocks)
+    m = [[MPoly() for _ in range(ncols)] for _ in range(nrows)]
+    r0 = c0 = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            m[r0 + i][c0 : c0 + len(row)] = row
+        r0, c0 = r0 + len(block), c0 + len(block[0])
+    for _ in range(rng.randint(0, 2)):
+        m[rng.randrange(nrows)][rng.randrange(ncols)] = _linear_form(rng)
+    row_order, col_order = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    return [[m[i][j] for j in col_order] for i in row_order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.integers(0, 2**32))
+def test_all_minors_zero_bordering_decides_block_by_block(seed):
+    # each bordering minor, decided from the blocks of the basis, against its
+    # full determinant; the witness is the first nonzero one in bordering order
+    m = _block_matrix(random.Random(seed))
+    rows, ncols = dict_rows(m), len(m[0])
+    for k in range(1, min(len(rows), ncols) + 1):
+        none_below, base = all_minors_zero(rows, ncols, k - 1)
+        if none_below:
+            break  # no nonsingular (k-1)-submatrix to border
+        basis = (base.rows, base.cols)
+        ok, witness = all_minors_zero(rows, ncols, k, basis=basis)
+        nonzero = [
+            (rset, cset)
+            for rset, cset in bordering_minors(len(rows), ncols, basis)
+            if det([rows[i] for i in rset], cset)
+        ]
+        assert ok == (not nonzero)
+        if not ok:
+            assert (witness.rows, witness.cols) == nonzero[0]
+            assert witness.poly == det([rows[i] for i in witness.rows], witness.cols)
+
+
+def test_all_minors_zero_bordering_computes_only_joined_blocks(monkeypatch):
+    # two 2x2 blocks and a zero row: the 2x2 basis (one entry of each block)
+    # leaves one row and one column of each block free.  A row and a column
+    # of different blocks border a zero minor with no arithmetic; one of
+    # the same block joins just that block, a 2x2 determinant
+    m = [
+        [u(0), u(1), MPoly(), MPoly()],
+        [u(1), u(0), MPoly(), MPoly()],
+        [MPoly(), MPoly(), u(0), u(0)],
+        [MPoly(), MPoly(), u(1), u(1)],
+        [MPoly()] * 4,
+    ]
+    sizes = []
+    real_det = det
+    monkeypatch.setattr(
+        "steadydim.mpoly.det", lambda rows, cols: sizes.append(len(cols)) or real_det(rows, cols)
+    )
+    ok, witness = all_minors_zero(dict_rows(m), 4, 3, basis=((0, 2), (0, 2)))
+    assert not ok and (witness.rows, witness.cols) == ((0, 1, 2), (0, 1, 2))
+    assert witness.poly == u(0) * (u(0) * u(0) - u(1) * u(1))
+    # the joined block rows (0, 1) x cols (0, 1) and the full witness minor
+    assert sizes == [2, 3]
+    sizes.clear()
+    assert all_minors_zero(dict_rows([row[2:] for row in m[2:]]), 2, 2, basis=((0,), (0,))) == (True, None)
+    assert sizes == [2]
+
+
+def test_all_minors_zero_rejects_a_structurally_singular_basis():
+    m = [[u(0), u(1), MPoly()], [u(1), u(0), MPoly()], [MPoly(), MPoly(), u(0)]]
+    for basis in (((0, 1), (0, 2)), ((0, 1), (1, 2))):
+        with pytest.raises(ValueError):
+            all_minors_zero(dict_rows(m), 3, 3, basis=basis)
 
 
 def test_all_minors_zero_rejects_bad_basis():

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -34,7 +35,16 @@ from steadydim.nondegen import (
 from steadydim import nondegen
 from steadydim.ratmat import MODULUS, RatMatrix
 
-from conftest import NETWORK_MATRICES, diag, dict_rows, fixture_path, parse_certificate, random_network
+from conftest import (
+    NETWORK_MATRICES,
+    bordering_minors,
+    diag,
+    dict_rows,
+    example42_family_text,
+    fixture_path,
+    parse_certificate,
+    random_network,
+)
 
 CALCIUM = parse_network(fixture_path("calcium.crn").read_text())
 EXAMPLE42 = parse_network(fixture_path("example42.crn").read_text())
@@ -309,6 +319,108 @@ def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in [(2, 1)] * 5 + [(2, 2)]]
+
+
+def _spy_eliminations(monkeypatch) -> list:
+    eliminated = []
+    real_eliminate = RatMatrix._eliminate
+    monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
+    return eliminated
+
+
+def test_generic_rank_certificate_from_equal_samples_eliminates_once(monkeypatch):
+    # five samples of the same rank mod p: only the first is row-reduced
+    # over Q, and its certificate closing proves no later one ranks higher
+    eliminated = _spy_eliminations(monkeypatch)
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
+    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 2]))
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 5
+    assert parse_certificate(verdict.certificate, with_h=False).u == (2, 2)
+    assert eliminated == [RatMatrix.from_entries(3, 3, matrix((2, 2), None))]
+
+
+def test_generic_rank_later_sample_reaching_the_target_after_a_failed_certificate(monkeypatch):
+    # with every rank mod p read as 0 only the first sample, of rank 1, is
+    # row-reduced before the certificate; its bordering minor is nonzero, so
+    # the later samples are ranked over Q, and the second one is the witness
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0], [0, u[1] - 1]])
+    script = [2, 1] + [2, 2] * 4
+    expected = generic_rank_test(matrix, 2, SamplerConfig(seed=0), u_dim=2, cols=2, rng=ScriptedRng(script))
+    assert expected.nondegenerate and expected.samples_tried == 2 and expected.witness_u == (2, 2)
+    eliminated = _spy_eliminations(monkeypatch)
+    monkeypatch.setattr(nondegen, "rank_mod_p", lambda rows: 0)
+    verdict = generic_rank_test(matrix, 2, SamplerConfig(seed=0), u_dim=2, cols=2, rng=ScriptedRng(script))
+    assert verdict == expected
+    assert eliminated == [RatMatrix.from_entries(2, 2, matrix(u, None)) for u in [(2, 1), (2, 2)]]
+
+
+def test_generic_rank_later_sample_ranking_higher_is_certified(monkeypatch):
+    # as above, but the second sample's rank 2 stays short of 3: the
+    # certificate is redone from it, and it closes
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
+    script = [2, 1] + [2, 2] * 4
+    expected = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng(script))
+    assert expected.status is RankTestStatus.ALL_DEGENERATE and expected.samples_tried == 5
+    assert parse_certificate(expected.certificate, with_h=False)[:5] == (2, 3, (0, 1), (0, 1), (2, 2))
+    eliminated = _spy_eliminations(monkeypatch)
+    monkeypatch.setattr(nondegen, "rank_mod_p", lambda rows: 0)
+    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng(script))
+    assert verdict == expected
+    assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in [(2, 1)] + [(2, 2)] * 4]
+
+
+def test_generic_rank_modular_witness_waits_for_the_samples_before_it(monkeypatch):
+    # the first sample's rank mod p reads 0 and the second's reaches the
+    # target; the first is then row-reduced over Q, reaches it too and wins
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0], [0, u[1] - 1]])
+    readings = [0]
+    real_rank_mod_p = nondegen.rank_mod_p
+    monkeypatch.setattr(nondegen, "rank_mod_p", lambda rows: readings.pop() if readings else real_rank_mod_p(rows))
+    eliminated = _spy_eliminations(monkeypatch)
+    verdict = generic_rank_test(matrix, 2, SamplerConfig(seed=0), u_dim=2, cols=2, rng=ScriptedRng([3, 3, 2, 2]))
+    assert verdict.nondegenerate and verdict.samples_tried == 1 and verdict.witness_u == (3, 3)
+    assert eliminated == [RatMatrix.from_entries(2, 2, matrix((3, 3), None))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 2), st.integers(0, 2)).map(
+            lambda kd: parse_network(example42_family_text(*kd))
+        ),
+        st.integers(0, 2**32).map(lambda seed: random_network(random.Random(seed))),
+    ),
+    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    st.integers(0, 2**16),
+)
+def test_reports_do_not_depend_on_the_rank_mod_p(net, shortfalls, seed):
+    # the rank mod p only decides which samples are row-reduced over Q before
+    # the certificate: reading it too low changes none of the report
+    cfg = SamplerConfig(seed=seed)
+    expected = analyze(net, cfg)
+    real_rank_mod_p = nondegen.rank_mod_p
+    calls = itertools.count()
+
+    def under_reported(rows):
+        return max(0, real_rank_mod_p(rows) - shortfalls[next(calls) % len(shortfalls)])
+
+    with mock.patch.object(nondegen, "rank_mod_p", under_reported):
+        assert analyze(net, cfg) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
+def test_bordering_certificate_lists_the_minors_in_bordering_order(nrows, ncols, with_h, data):
+    size = data.draw(st.integers(0, min(nrows, ncols) - 1))
+    rows = tuple(data.draw(st.permutations(range(nrows)))[:size])
+    cols = tuple(data.draw(st.permutations(range(ncols)))[:size])
+    h_vals = (3, 1) if with_h else None
+    lines = nondegen._bordering_certificate((nrows, ncols), (rows, cols), size + 1, (-5, 2), h_vals)
+    cert = parse_certificate(lines, with_h=with_h)
+    assert (cert.rank, cert.target, cert.rows, cert.cols, cert.u, cert.h) == (
+        size, size + 1, rows, cols, (-5, 2), h_vals
+    )
+    assert cert.minors == list(bordering_minors(nrows, ncols, (rows, cols)))
 
 
 def test_sample_rank_and_profile_run_no_back_substitution(monkeypatch):
