@@ -55,7 +55,9 @@ class ConeResult:
 def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], nvars: int):
     """Minimize the sum of artificials for {A v = rhs, v >= 0}.
 
-    ``a_rows`` holds the nonzero entries of each row of A.  Returns
+    ``a_rows`` holds the nonzero entries of each row of A, in dicts the
+    simplex takes over: each gets its right-hand side at column ``end``
+    and is copied once, scaled to ints, into the tableau.  Returns
     whether the optimum is 0 (the system is feasible) and the v part of
     the final basic solution.  Bland's rule: entering column is the
     lowest index with a negative reduced cost; the leaving row is the one
@@ -69,7 +71,10 @@ def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], n
     """
     m = len(a_rows)
     end = nvars + m
-    scaled = [_integral({**row, end: b} if b else row) for row, b in zip(a_rows, rhs)]
+    for row, b in zip(a_rows, rhs):
+        if b:
+            row[end] = b
+    scaled = [_integral(row) for row in a_rows]
     # the cost row is lcm(scales) times minus the sum of the divided rows,
     # 0 at the artificials, which are basic
     common = lcm(*(scale for scale, _ in scaled))
@@ -78,7 +83,8 @@ def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], n
     for i, (scale, row) in enumerate(scaled):
         # make rhs nonnegative so the artificial basis is feasible
         if row.get(end, 0) < 0:
-            row = {j: -x for j, x in row.items()}
+            for j in row:
+                row[j] = -row[j]
         weight = common // scale
         for j, x in row.items():
             cost[j] = cost.get(j, 0) - weight * x

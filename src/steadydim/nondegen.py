@@ -14,22 +14,20 @@ sums the nonzero products N[i,k] B[j,k] (collected once per network)
 against numbers or polynomials alike into sparse rows, one dict
 {column: nonzero entry} per row, so a sample costs time in its nonzeros,
 not in s x n.  Each target rank is tested at random integer points,
-straight from the integer matrices: a sample's rank modulo the prime
-2^61 - 1 never exceeds its exact rank, so reaching the target proves it.
-Exact rational elimination runs only where it decides something: on the
-samples before a modular witness, and, when every sample falls short
-modulo p, on those up to the first of highest modular rank.  Only then
-is the polynomial matrix built, in the same sparse rows with MPoly
-entries, over the variables u_t (index t) and h_j (index u_dim + j): the
-best of the samples ranked exactly has rank rho and a nonsingular
-rho x rho submatrix; its bordering (rho+1)-minors, each decided from the
-blocks of that submatrix, either all vanish, which proves the rank is
-rho everywhere (Kronecker's theorem, a symbolic certificate), so no
-other sample ranks higher, or one of them is a nonzero polynomial.  Then
-the other samples are ranked exactly too, and the nonzero minor of the
-best of them all drives the sampling to a point of higher rank, until
-the target is reached.  When the first matrix is rank
-deficient everywhere, so is the second, and its test is skipped.
+straight from the integer matrices: one forward pass modulo the prime
+2^61 - 1 gives a submatrix that is nonsingular modulo p, hence over Q,
+so a sample whose submatrix reaches the target is a proven witness.
+Only when none does is the polynomial matrix built, in the same sparse
+rows with MPoly entries, over the variables u_t (index t) and h_j
+(index u_dim + j).  The first sample of highest rank modulo p, rho,
+gives a nonsingular rho x rho submatrix; its bordering (rho+1)-minors,
+each decided from the blocks of that submatrix, either all vanish, which
+proves the rank is rho everywhere (Kronecker's theorem, a symbolic
+certificate), or one of them is a nonzero polynomial.  That minor is
+sampled until it is nonzero, at a point of rank at least rho + 1: the
+witness once rho + 1 reaches the target, else the next submatrix.  When
+the first matrix is rank deficient everywhere, so is the second, and its
+test is skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
@@ -50,7 +48,7 @@ from typing import Callable, Optional, Sequence
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
 from .mpoly import MinorWitness, MPoly, all_minors_zero
 from .netmodel import NetworkMatrices, ReactionNetwork
-from .ratmat import RatMatrix, rank_mod_p
+from .ratmat import RatMatrix, basis_mod_p
 
 _ONE = Fraction(1)
 
@@ -280,32 +278,22 @@ def generic_rank_test(
     matrix at integer u and h, and the polynomial matrix is the same
     function at the variables u1.., h1...
 
-    Up to ``_RETRIES`` samples first.  A sample is ranked modulo the
-    prime ``ratmat.MODULUS`` as it is drawn: that rank never exceeds the
-    exact rank, so when it reaches ``target`` the sample is a proven
-    witness without rational arithmetic (after the samples before it, if
-    any, are row-reduced over Q, since one of them may reach ``target``
-    there).  If none does, the samples up to the first one of highest
-    modular rank are row-reduced once over Q, in order.  The witness is
-    always the first sample whose exact rank reaches ``target``, and
-    ``samples_tried`` counts the samples up to it.  Otherwise the
-    polynomial matrix is built, and the highest exact rank among them
-    (rho, the first of equals) gives a nonsingular rho x rho submatrix
-    (R, C) from that same reduction: R its row-rank profile (each row
-    independent of the rows before it) and C its pivot columns.  Only the
-    minors bordering (R, C) are decided symbolically:
+    Up to ``_RETRIES`` samples first.  Each gets one forward pass modulo
+    the prime ``ratmat.MODULUS``, ``basis_mod_p``: rows R and columns C of
+    a submatrix that is nonsingular over Q.  The first sample with
+    ``len(R) >= target`` is the witness, and ``samples_tried`` counts the
+    samples up to it.  Otherwise the polynomial matrix is built, and the
+    first sample of highest ``len(R)`` (rho) gives the basis (R, C).  Only
+    the minors bordering it are decided symbolically:
 
-      * all zero: the rank is rho over Q(u, h), so no later sample ranks
-        higher and this one is the best of all of them; AllDegenerate,
-        with a certificate naming (R, C), the sample and every bordering
-        minor;
-      * one nonzero: the later samples are row-reduced over Q too, as
-        above, and the loop restarts from the best of all the samples if
-        one of them ranks higher.  Then the nonzero minor is sampled
-        until it evaluates nonzero (doubling
-        the sample bound whenever a round of ``_PIT_BUDGET`` samples is
-        exhausted).  The rank there exceeds rho; if it reaches the target
-        that point is the witness, otherwise the loop repeats from it.
+      * all zero: the rank is rho over Q(u, h); AllDegenerate, with a
+        certificate naming (R, C), the sample and every bordering minor;
+      * one nonzero: it is sampled until it evaluates nonzero (doubling the
+        sample bound whenever a round of ``_PIT_BUDGET`` samples is
+        exhausted), a point of rank at least rho + 1.  If rho + 1 reaches the
+        target that point is the witness; otherwise the minor and that point
+        are the next basis and sample, so the loop runs at most
+        target - rho rounds.
 
     A witness is a point at which the exact rank of the evaluated matrix
     is at least ``target``; ``witness_w`` is left None.  A negative
@@ -328,17 +316,6 @@ def generic_rank_test(
             samples_tried=samples,
         )
 
-    def evaluate(u_vals, h_vals):
-        """(rank, evaluated matrix) at a sample; only the rank, ``target``,
-        when the rank mod p proves it."""
-        rows = matrix(u_vals, h_vals)
-        # the rank mod p never exceeds the rational rank, so reaching the
-        # target proves it; short of it, it decides nothing
-        if rank_mod_p(rows) >= target:
-            return target, None
-        evaluated = RatMatrix.from_entries(len(rows), cols, rows)
-        return evaluated.rank(), evaluated
-
     bound = _SAMPLE_BOUND
     samples = hunted = 0
 
@@ -359,77 +336,41 @@ def generic_rank_test(
                     return u_vals, h_vals
             bound *= 2
 
-    drawn = []  # (u_vals, h_vals, rows) of each sample short of the target mod p
-    modular = []  # and its rank mod p
-    best = None  # (rank, evaluated matrix, u_vals, h_vals) of the best sample
-    ranked = 0  # the samples drawn[:ranked] are ranked exactly
-
-    def rank_exactly(stop):
-        """Rank drawn[ranked:stop] over Q: the verdict of the first that
-        reaches the target, else None."""
-        nonlocal best, ranked
-        for t in range(ranked, stop):
-            u_vals, h_vals, rows = drawn[t]
-            evaluated = RatMatrix.from_entries(len(rows), cols, rows)
-            rank = evaluated.rank()
-            if rank >= target:
-                return verdict_for(u_vals, h_vals, t + 1)
-            if best is None or rank > best[0]:
-                best = (rank, evaluated, u_vals, h_vals)
-        ranked = stop
-        return None
-
+    best = None  # (basis, u_vals, h_vals) of the first sample of highest rank mod p
     for _ in range(_RETRIES):
         u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
         samples += 1
         rows = matrix(u_vals, h_vals)
-        modular.append(rank_mod_p(rows))  # as in ``evaluate``
-        if modular[-1] >= target:
-            # a sample before it, short mod p, may reach the target over Q
-            return rank_exactly(len(drawn)) or verdict_for(u_vals, h_vals, samples)
-        drawn.append((u_vals, h_vals, rows))
+        basis = basis_mod_p(rows)
+        if len(basis[0]) >= target:
+            return verdict_for(u_vals, h_vals, samples)
+        if best is None or len(basis[0]) > len(best[0][0]):
+            best = (basis, u_vals, h_vals)
     # no sample reaches a target above the matrix's size, so checking here covers it
-    if target > min(len(rows), cols):
+    shape = (len(rows), cols)
+    if target > min(shape):
         raise ValueError(f"target rank {target} out of range for {len(rows)}x{cols}")
 
-    # the samples up to the first of highest rank mod p, the likely best
-    verdict = rank_exactly(modular.index(max(modular)) + 1)
-    if verdict is not None:
-        return verdict
+    basis, u_vals, h_vals = best
     symbolic = _symbolic(matrix, u_dim, h_dim)
     while True:
-        rank, evaluated, u_vals, h_vals = best
-        # the sample's row-rank profile and pivot columns: a nonsingular
-        # rank x rank submatrix, from the elimination that ranked the sample
-        basis = (evaluated.row_profile(), evaluated.pivot_columns())
+        rank = len(basis[0])
         vanish, witness = all_minors_zero(symbolic, cols, rank + 1, basis=basis)
         if vanish:
-            # the generic rank is ``rank``: no later sample ranks higher,
-            # so this is the best of all the samples
             return GenericRankVerdict(
                 target_rank=target,
                 status=RankTestStatus.ALL_DEGENERATE,
                 witness_u=None,
                 witness_h=None,
                 witness_w=None,
-                certificate=_bordering_certificate(
-                    (evaluated.rows, evaluated.cols), basis, target, u_vals, h_vals
-                ),
+                certificate=_bordering_certificate(shape, basis, target, u_vals, h_vals),
                 samples_tried=samples,
             )
-        if ranked < len(drawn):
-            # hunt from the best of all the samples
-            verdict = rank_exactly(len(drawn))
-            if verdict is not None:
-                return verdict
-            if best[1] is not evaluated:
-                continue
-
+        # the minor is nonzero at the hunted point: its rank is at least rank + 1
         u_vals, h_vals = hunt(witness)
-        rank, evaluated = evaluate(u_vals, h_vals)
-        if rank >= target:
+        if rank + 1 >= target:
             return verdict_for(u_vals, h_vals, samples)
-        best = (rank, evaluated, u_vals, h_vals)
+        basis = (witness.rows, witness.cols)
 
 
 # -- pointwise checks ------------------------------------------------------

@@ -12,17 +12,18 @@ stoichiometric matrix has a few nonzeros per column).  Each row is
 scaled to integers and reduced against the independent rows before it
 by ``row <- a*row - b*earlier`` with coprime integers ``a`` and ``b``,
 then divided by its content.  That forward pass gives the rank, the
-pivot columns, the row-rank profile and, by unwinding the recorded
-integer pairs, the left kernel.  An integer back-substitution turns
-the independent rows into the reduced row echelon form; it runs once,
-on first use, and gives the right kernel and row-space bases too.
+pivot columns and, by unwinding the recorded integer pairs, the left
+kernel.  An integer back-substitution turns the independent rows into
+the reduced row echelon form; it runs once, on first use, and gives the
+right kernel and row-space bases too.
 Matrices are immutable after construction, so values can be shared
 freely across threads; each one keeps its elimination once computed.
 
-``rank_mod_p`` ranks a matrix of ints and Fractions, given as the same
-sparse rows, modulo the prime ``MODULUS``, reducing the rows in order
-(forward only); that rank never exceeds the rational rank, so a rank
-of at least k modulo p proves a rank of at least k over Q.
+``basis_mod_p`` runs the same forward pass modulo the prime ``MODULUS``
+on a matrix of ints and Fractions, given as the same sparse rows, and
+returns the rows and the leads of a submatrix that is nonsingular
+modulo p, hence over Q: a proof that the rational rank is at least its
+size, with no rational arithmetic.
 
 Basis vectors are primitive integer vectors, to keep downstream
 coefficients small.
@@ -104,7 +105,7 @@ class RatMatrix:
     ascending order; every constructor and operation keeps that order.
     A value is an ``int`` when it is an integer and a ``Fraction`` with
     denominator > 1 otherwise.  The fraction-free elimination runs on
-    first use of a rank, profile or basis method and is kept; the RREF
+    first use of a rank, pivot or basis method and is kept; the RREF
     back-substitution runs on first use of ``rref``, ``kernel_basis`` or
     ``row_basis`` and is kept too.
     """
@@ -313,11 +314,6 @@ class RatMatrix:
         """The columns of the RREF's leading ones, ascending."""
         return self._elimination()[0]
 
-    def row_profile(self) -> tuple[int, ...]:
-        """The rows independent of the rows before them, in order: with the
-        pivot columns C, these rows R give a nonsingular ``self[R, C]``."""
-        return self._elimination()[1]
-
     def kernel_basis(self) -> "RatMatrix":
         """Basis of the right kernel, one primitive integer vector per column.
 
@@ -425,23 +421,30 @@ def divide_content(row: dict[int, int]) -> int:
     return content
 
 
-def rank_mod_p(rows: Sequence[Mapping[int, Rational]]) -> int:
-    """Rank modulo ``MODULUS`` of a matrix given as sparse rows.
+def basis_mod_p(rows: Sequence[Mapping[int, Rational]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(R, C)``: a nonsingular submatrix modulo ``MODULUS`` of a matrix
+    given as sparse rows, of size the rank modulo p.
 
     Each row is a dict {column: int or Fraction}; it is first scaled by
-    the lcm of its denominators, which keeps the rank.  The rows are then
-    reduced in order, each against the earlier independent rows whose
-    lead (first nonzero column) it meets, until its own lead is new or
-    nothing is left, so the work follows the nonzeros.
+    the lcm of its denominators.  The rows are then reduced in order,
+    each against the earlier independent rows whose lead (first nonzero
+    column) it meets, until its own lead is new or nothing is left, so
+    the work follows the nonzeros.  R is the rows that added a new lead,
+    in order, and C the leads, ascending.  The scaled rows are integers,
+    so a determinant of ``A[R, C]`` nonzero modulo p is nonzero over Q:
+    ``A[R, C]`` is nonsingular, and ``len(R)`` never exceeds the rational
+    rank.
     """
     p = MODULUS
     leads: dict[int, tuple[dict[int, int], int]] = {}  # lead -> (reduced row, inverse of its lead)
-    for row in rows:
+    basis_rows = []
+    for i, row in enumerate(rows):
         vec = {j: y for j, x in _integral(row)[1].items() if (y := x % p)}
         while vec:
             lead = min(vec)
             if lead not in leads:
                 leads[lead] = (vec, pow(vec[lead], -1, p))
+                basis_rows.append(i)
                 break
             piv, inv = leads[lead]
             f = vec[lead] * inv % p
@@ -451,4 +454,4 @@ def rank_mod_p(rows: Sequence[Mapping[int, Rational]]) -> int:
                     vec[j] = y
                 else:
                     del vec[j]
-    return len(leads)
+    return tuple(basis_rows), tuple(sorted(leads))

@@ -232,4 +232,5 @@ def test_phase_one_agrees_with_the_run_to_optimality(mats, data):
         x0 = data.draw(st.lists(st.integers(0, 2), min_size=m.cols, max_size=m.cols))
         for rhs in ([-sum(row.values(), Fraction(0)) for row in a_rows], list(m.mul_vec(x0))):
             objective, solution = bland_to_optimality(a_rows, rhs, m.cols)
-            assert _phase_one_simplex(a_rows, rhs, m.cols) == (objective == 0, solution)
+            # the simplex takes over the dicts it is given
+            assert _phase_one_simplex([dict(row) for row in a_rows], rhs, m.cols) == (objective == 0, solution)

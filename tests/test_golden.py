@@ -10,7 +10,10 @@ of 18 blocks, so it pins the block-by-block minor test), and two random
 networks of its ``screen_small`` workload at seed 0: ``empty_cone.crn``
 (``random003``), whose cone is empty and whose simplex pivots through
 non-integral ratios, and ``fractional_rref.crn`` (``random001``), whose
-stoichiometric matrix has an RREF entry that is not an integer.  A change that alters any
+stoichiometric matrix has an RREF entry that is not an integer, and
+``p_multiple.crn``, whose stoichiometric coefficients are 2^61 - 1, the
+modulus of the rank test, so every sample's rank modulo p falls short
+and each witness is a hunted point.  A change that alters any
 of these bytes must be deliberate: regenerate the file and say why in
 CHANGES.md (a report format change also bumps ``schema_version``).
 """

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 import sympy
@@ -40,7 +39,6 @@ from conftest import (
     bordering_minors,
     diag,
     dict_rows,
-    example42_family_text,
     fixture_path,
     parse_certificate,
     random_network,
@@ -280,17 +278,24 @@ def test_generic_rank_minor_hunt_path():
     assert verdict.witness_u == (2, 3)
 
 
-def test_generic_rank_bordering_grows_then_hunts():
+def test_generic_rank_bordering_grows_then_hunts(monkeypatch):
     # every scripted sample lands below the generic rank 3: (2,1,1), drawn
     # five times, has rank 1, so the bordering 2x2 minor (u1-1)(u2-1) is
     # hunted, skipping (1,1,1) where it vanishes; (2,2,1) has rank 2, and the
     # bordering 3x3 minor is hunted to (3,3,3)
+    rounds = []
+    real_all_minors_zero = nondegen.all_minors_zero
+    monkeypatch.setattr(
+        nondegen, "all_minors_zero", lambda *args, **kw: rounds.append(args) or real_all_minors_zero(*args, **kw)
+    )
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]])
     rng = ScriptedRng([2, 1, 1] * 5 + [1, 1, 1, 2, 2, 1, 3, 3, 3])
     verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=3, cols=3, rng=rng)
     assert verdict.nondegenerate
     assert verdict.witness_u == (3, 3, 3)
     assert verdict.samples_tried == 8
+    # each round's minor is the next basis: target - rho = 2 rounds
+    assert [k for _, _, k in rounds] == [2, 3]
 
 
 def test_generic_rank_bordering_grows_then_certifies():
@@ -307,9 +312,8 @@ def test_generic_rank_bordering_grows_then_certifies():
 
 
 def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
-    # the case above: the basis (R, C) of each certificate round is read off
-    # the elimination that ranked the sample, so the only eliminations are
-    # those of the samples short of the target, (2,1) five times and then (2,2)
+    # the case above: the first basis comes from the samples' passes modulo
+    # p and the next from the hunted minor, so nothing is row-reduced over Q
     eliminated = []
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
@@ -318,94 +322,7 @@ def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
         matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 1] * 5 + [2, 2])
     )
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
-    assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in [(2, 1)] * 5 + [(2, 2)]]
-
-
-def _spy_eliminations(monkeypatch) -> list:
-    eliminated = []
-    real_eliminate = RatMatrix._eliminate
-    monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
-    return eliminated
-
-
-def test_generic_rank_certificate_from_equal_samples_eliminates_once(monkeypatch):
-    # five samples of the same rank mod p: only the first is row-reduced
-    # over Q, and its certificate closing proves no later one ranks higher
-    eliminated = _spy_eliminations(monkeypatch)
-    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
-    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 2]))
-    assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 5
-    assert parse_certificate(verdict.certificate, with_h=False).u == (2, 2)
-    assert eliminated == [RatMatrix.from_entries(3, 3, matrix((2, 2), None))]
-
-
-def test_generic_rank_later_sample_reaching_the_target_after_a_failed_certificate(monkeypatch):
-    # with every rank mod p read as 0 only the first sample, of rank 1, is
-    # row-reduced before the certificate; its bordering minor is nonzero, so
-    # the later samples are ranked over Q, and the second one is the witness
-    matrix = lambda u, h: dict_rows([[u[0] - 1, 0], [0, u[1] - 1]])
-    script = [2, 1] + [2, 2] * 4
-    expected = generic_rank_test(matrix, 2, SamplerConfig(seed=0), u_dim=2, cols=2, rng=ScriptedRng(script))
-    assert expected.nondegenerate and expected.samples_tried == 2 and expected.witness_u == (2, 2)
-    eliminated = _spy_eliminations(monkeypatch)
-    monkeypatch.setattr(nondegen, "rank_mod_p", lambda rows: 0)
-    verdict = generic_rank_test(matrix, 2, SamplerConfig(seed=0), u_dim=2, cols=2, rng=ScriptedRng(script))
-    assert verdict == expected
-    assert eliminated == [RatMatrix.from_entries(2, 2, matrix(u, None)) for u in [(2, 1), (2, 2)]]
-
-
-def test_generic_rank_later_sample_ranking_higher_is_certified(monkeypatch):
-    # as above, but the second sample's rank 2 stays short of 3: the
-    # certificate is redone from it, and it closes
-    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
-    script = [2, 1] + [2, 2] * 4
-    expected = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng(script))
-    assert expected.status is RankTestStatus.ALL_DEGENERATE and expected.samples_tried == 5
-    assert parse_certificate(expected.certificate, with_h=False)[:5] == (2, 3, (0, 1), (0, 1), (2, 2))
-    eliminated = _spy_eliminations(monkeypatch)
-    monkeypatch.setattr(nondegen, "rank_mod_p", lambda rows: 0)
-    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng(script))
-    assert verdict == expected
-    assert eliminated == [RatMatrix.from_entries(3, 3, matrix(u, None)) for u in [(2, 1)] + [(2, 2)] * 4]
-
-
-def test_generic_rank_modular_witness_waits_for_the_samples_before_it(monkeypatch):
-    # the first sample's rank mod p reads 0 and the second's reaches the
-    # target; the first is then row-reduced over Q, reaches it too and wins
-    matrix = lambda u, h: dict_rows([[u[0] - 1, 0], [0, u[1] - 1]])
-    readings = [0]
-    real_rank_mod_p = nondegen.rank_mod_p
-    monkeypatch.setattr(nondegen, "rank_mod_p", lambda rows: readings.pop() if readings else real_rank_mod_p(rows))
-    eliminated = _spy_eliminations(monkeypatch)
-    verdict = generic_rank_test(matrix, 2, SamplerConfig(seed=0), u_dim=2, cols=2, rng=ScriptedRng([3, 3, 2, 2]))
-    assert verdict.nondegenerate and verdict.samples_tried == 1 and verdict.witness_u == (3, 3)
-    assert eliminated == [RatMatrix.from_entries(2, 2, matrix((3, 3), None))]
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    st.one_of(
-        st.tuples(st.integers(1, 2), st.integers(0, 2)).map(
-            lambda kd: parse_network(example42_family_text(*kd))
-        ),
-        st.integers(0, 2**32).map(lambda seed: random_network(random.Random(seed))),
-    ),
-    st.lists(st.integers(0, 3), min_size=1, max_size=6),
-    st.integers(0, 2**16),
-)
-def test_reports_do_not_depend_on_the_rank_mod_p(net, shortfalls, seed):
-    # the rank mod p only decides which samples are row-reduced over Q before
-    # the certificate: reading it too low changes none of the report
-    cfg = SamplerConfig(seed=seed)
-    expected = analyze(net, cfg)
-    real_rank_mod_p = nondegen.rank_mod_p
-    calls = itertools.count()
-
-    def under_reported(rows):
-        return max(0, real_rank_mod_p(rows) - shortfalls[next(calls) % len(shortfalls)])
-
-    with mock.patch.object(nondegen, "rank_mod_p", under_reported):
-        assert analyze(net, cfg) == expected
+    assert eliminated == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -424,8 +341,9 @@ def test_bordering_certificate_lists_the_minors_in_bordering_order(nrows, ncols,
 
 
 def test_sample_rank_and_profile_run_no_back_substitution(monkeypatch):
-    # rank, row-rank profile and pivot columns come from the forward pass;
-    # the RREF back-substitution runs once, on first use of a basis
+    # rank, pivot columns and the left kernel (from the row-rank profile)
+    # come from the forward pass; the RREF back-substitution runs once, on
+    # first use of a basis
     substituted = []
     real_back_substitute = RatMatrix._back_substitute
     monkeypatch.setattr(
@@ -435,7 +353,7 @@ def test_sample_rank_and_profile_run_no_back_substitution(monkeypatch):
     substituted.clear()
     rows = f_test_matrix(mats, mats.g)((2, -3, 5), None)
     sample = RatMatrix.from_entries(len(rows), mats.n, rows)
-    assert (sample.rank(), sample.row_profile(), sample.pivot_columns()) == (3, (0, 1, 2), (0, 1, 2))
+    assert (sample.rank(), sample.pivot_columns(), sample.left_kernel_basis().rows) == (3, (0, 1, 2), 0)
     assert substituted == []
     sample.rref()
     sample.kernel_basis()
@@ -484,7 +402,7 @@ def _exact_rank(rows) -> int:
 def test_modular_shortcut_never_returns_a_wrong_witness(data):
     # left diag(u) right with scaled rows: generic rank at most ``inner``; a
     # row times p vanishes modulo p, so the rank mod p can fall short of the
-    # exact rank and leave the sample to the exact path
+    # exact rank and leave the sample to the minors
     rows, cols, inner = (data.draw(st.integers(1, 4)) for _ in range(3))
     left = [[data.draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(rows)]
     right = [[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(inner)]
@@ -498,23 +416,34 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
             for i in range(rows)
         ]
 
-    matrix = lambda u, h: dict_rows(dense(u))
-    cfg = SamplerConfig(seed=data.draw(st.integers(0, 99)))
-
-    verdict = generic_rank_test(matrix, target, cfg, u_dim=inner, cols=cols)
+    verdict = generic_rank_test(
+        lambda u, h: dict_rows(dense(u)), target, SamplerConfig(seed=data.draw(st.integers(0, 99))),
+        u_dim=inner, cols=cols,
+    )
     if verdict.nondegenerate:
         assert _exact_rank(dense(verdict.witness_u)) >= target
-    # the same samples with every rank computed over Q give the same outcome
-    with mock.patch.object(nondegen, "rank_mod_p", lambda rows: -1):
-        assert generic_rank_test(matrix, target, cfg, u_dim=inner, cols=cols) == verdict
+        return
+    # the named minor is nonzero at the sample, and every target x target
+    # minor of the polynomial matrix is zero
+    cert = parse_certificate(verdict.certificate, with_h=False)
+    assert cert.rank == len(cert.rows) < target
+    sample = [[dense(cert.u)[i][j] for j in cert.cols] for i in cert.rows]
+    assert sympy.Matrix(len(sample), len(sample), lambda i, j: sympy.Rational(sample[i][j])).det() != 0
+    symbolic = sympy.Matrix(dense(sympy.symbols(f"u:{inner}")))
+    for r in itertools.combinations(range(rows), target):
+        for c in itertools.combinations(range(cols), target):
+            assert sympy.expand(symbolic.extract(list(r), list(c)).det()) == 0
 
 
 def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
-    # every entry is a multiple of p, so the rank mod p is 0 < 1 = the exact rank
+    # every entry is a multiple of p, so the rank mod p is 0 < 1 = the exact
+    # rank: the five samples fall short, and the hunted 1 x 1 minor is the
+    # sixth sample
     verdict = generic_rank_test(
         lambda u, h: dict_rows([[MODULUS * u[0]]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
     )
-    assert verdict.nondegenerate and verdict.samples_tried == 1
+    assert verdict.nondegenerate and verdict.samples_tried == 6
+    # a row over p is scaled by p first, so its rank mod p is 1
     verdict = generic_rank_test(
         lambda u, h: dict_rows([[Fraction(u[0], MODULUS)]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
     )
@@ -523,13 +452,14 @@ def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
 
 def test_modular_shortcut_needs_the_full_rank_target():
     # rank 2 everywhere, rank 1 modulo p: the rank mod p proves a target of 1
-    # but not of 2, and either way the witness's exact rank is 2
+    # at the first sample; a target of 2 needs the hunted bordering minor,
+    # the sixth sample.  Either way the witness's exact rank is 2
     dense = lambda u: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
-    for target in (1, 2):
+    for target, samples in ((1, 1), (2, 6)):
         verdict = generic_rank_test(
             lambda u, h: dict_rows(dense(u)), target, SamplerConfig(seed=2), u_dim=2, cols=3
         )
-        assert verdict.nondegenerate and verdict.samples_tried == 1
+        assert verdict.nondegenerate and verdict.samples_tried == samples
         assert _exact_rank(dense(verdict.witness_u)) == 2 >= target
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steadydim.cone import positive_kernel_vector
 from steadydim.nondegen import check_steady_state
-from steadydim.ratmat import MODULUS, RatMatrix, primitive, rank_mod_p
+from steadydim.ratmat import MODULUS, RatMatrix, basis_mod_p, primitive
 
 from conftest import CALCIUM_B, CALCIUM_GAMMA, NETWORK_MATRICES, diag, dict_rows, random_rational_matrix
 
@@ -267,11 +267,6 @@ def test_sparse_elimination_agrees_with_sympy(m):
     assert m.left_kernel_basis() == primitive_columns(sm.T.nullspace(), m.rows).transpose()
     rows = [primitive(from_sympy(sym_rref).row(i)) for i in range(rank)]
     assert m.row_basis() == RatMatrix.from_rows(rows, cols=m.cols)
-    # the row-rank profile R is the pivots of the transpose's RREF, and with
-    # the pivot columns C it gives a nonsingular submatrix A[R, C]
-    profile = m.row_profile()
-    assert profile == tuple(sm.T.rref()[1])
-    assert sm.extract(list(profile), list(pivots)).rank() == rank == len(profile)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -349,26 +344,54 @@ def test_values_are_ints_or_non_integral_fractions(m, mats, data):
 # -- rank modulo p ---------------------------------------------------------------
 
 
+@st.composite
+def low_rank_products(draw, scales=st.just(1)) -> RatMatrix:
+    """left @ right, of rank at most the inner size, with row i times a drawn scale."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    inner = draw(st.integers(0, 4))
+    left = [[draw(ENTRY) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(ENTRY) for _ in range(cols)] for _ in range(inner)]
+    product = [
+        [draw(scales) * sum((a * b for a, b in zip(lrow, col)), 0) for col in zip(*right)] if right else [0] * cols
+        for lrow in left
+    ]
+    return RatMatrix.from_rows(product, cols=cols)
+
+
+def sparse_rows(m: RatMatrix) -> list[dict]:
+    return [m.entries(i) for i in range(m.rows)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(data=st.data())
-def test_rank_mod_p_equals_exact_rank_on_low_rank_products(data):
-    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-    inner = data.draw(st.integers(0, 4))
-    left = [[data.draw(ENTRY) for _ in range(inner)] for _ in range(rows)]
-    right = [[data.draw(ENTRY) for _ in range(cols)] for _ in range(inner)]
-    product = [[sum((a * b for a, b in zip(lrow, col)), 0) for col in zip(*right)] if right else [0] * cols
-               for lrow in left]
-    exact = to_sympy(RatMatrix.from_rows(product, cols=cols)).rank()
-    assert rank_mod_p(dict_rows(product)) == exact <= inner
+@given(m=sparse_matrices(), product=low_rank_products())
+def test_rank_mod_p_equals_exact_rank_on_low_rank_products(m, product):
+    # small entries keep every rank modulo p, so the basis mod p is the
+    # exact one: R is the rows independent of the rows before them (the
+    # pivots of the transpose's RREF) and C the pivot columns
+    for a in (m, product):
+        sm = to_sympy(a)
+        assert basis_mod_p(sparse_rows(a)) == (tuple(sm.T.rref()[1]), tuple(sm.rref()[1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(product=low_rank_products(st.sampled_from([1, MODULUS, Fraction(1, MODULUS), Fraction(MODULUS, 7)])))
+def test_basis_mod_p_is_nonsingular_over_q_when_p_divides_entries(product):
+    # a row times p vanishes modulo p, and a row over p is scaled by p first,
+    # so the rank mod p may fall short of the exact rank: the submatrix is
+    # still nonsingular over Q
+    rows, cols = basis_mod_p(sparse_rows(product))
+    sm = to_sympy(product)
+    assert len(rows) == len(cols) <= sm.rank()
+    assert sm.extract(list(rows), list(cols)).det() != 0
 
 
 def test_rank_mod_p_is_a_lower_bound_and_flags_bad_denominators():
     p = MODULUS
-    assert rank_mod_p(dict_rows([[p, 0], [0, 1]])) == 1  # p vanishes modulo p; the rational rank is 2
+    assert basis_mod_p(dict_rows([[p, 0], [0, 1]])) == ((1,), (1,))  # p vanishes modulo p
     assert RatMatrix.from_rows([[p, 0], [0, 1]]).rank() == 2
     # rows are scaled by the lcm of their denominators first: [1, p] here
-    assert rank_mod_p(dict_rows([[Fraction(1, p), 1]])) == 1
-    assert rank_mod_p(dict_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]])) == 1
+    assert basis_mod_p(dict_rows([[Fraction(1, p), 1]])) == ((0,), (0,))
+    assert basis_mod_p(dict_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]])) == ((0,), (0,))
     assert RatMatrix.from_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]]).rank() == 2
-    assert rank_mod_p(dict_rows([[Fraction(p + 1, 2 * p + 3)]])) == 1
-    assert rank_mod_p([]) == 0
+    assert basis_mod_p(dict_rows([[Fraction(p + 1, 2 * p + 3)]])) == ((0,), (0,))
+    assert basis_mod_p([]) == ((), ())
