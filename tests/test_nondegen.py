@@ -325,6 +325,21 @@ def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
     assert eliminated == []
 
 
+def test_generic_rank_certificate_from_equal_samples_eliminates_once(monkeypatch):
+    # five samples of the same rank mod p: the certificate is built from the
+    # first one's basis mod p, and its closing proves no later one ranks
+    # higher; at most one elimination over Q was once needed, now none is
+    eliminated = []
+    real_eliminate = RatMatrix._eliminate
+    monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
+    matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
+    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 2]))
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 5
+    cert = parse_certificate(verdict.certificate, with_h=False)
+    assert (cert.rank, cert.rows, cert.cols, cert.u) == (2, (0, 1), (0, 1), (2, 2))
+    assert eliminated == []
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
 def test_bordering_certificate_lists_the_minors_in_bordering_order(nrows, ncols, with_h, data):
