@@ -18,10 +18,12 @@ from .netmodel import (
 )
 from .nondegen import (
     AnalysisReport,
+    BorderingCertificate,
     BudgetExhausted,
     ClassesConclusion,
     DimensionMismatch,
     GenericRankVerdict,
+    ImpliedByF,
     RankTestStatus,
     SamplerConfig,
     SteadyStateCheck,
@@ -36,6 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
+    "BorderingCertificate",
     "BudgetExhausted",
     "ClassesConclusion",
     "Complex",
@@ -43,6 +46,7 @@ __all__ = [
     "ConeStatus",
     "DimensionMismatch",
     "GenericRankVerdict",
+    "ImpliedByF",
     "NetworkMatrices",
     "ParseError",
     "RankTestStatus",

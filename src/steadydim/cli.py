@@ -27,6 +27,7 @@ from typing import Optional
 from .cone import ConeResult, ConeStatus
 from .netmodel import NetworkMatrices, ParseError, ReactionNetwork, parse_network
 from .nondegen import (
+    CERTIFICATES,
     AnalysisReport,
     ClassesConclusion,
     GenericRankVerdict,
@@ -40,7 +41,7 @@ from .nondegen import (
 )
 from .ratmat import RatMatrix
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class UsageError(ValueError):
@@ -51,15 +52,11 @@ class UsageError(ValueError):
 
 
 def _frac_list(vec) -> Optional[list[str]]:
-    if vec is None:
-        return None
-    return [str(x) for x in vec]
+    return None if vec is None else [str(x) for x in vec]
 
 
 def _parse_frac_list(vec) -> Optional[tuple[Fraction, ...]]:
-    if vec is None:
-        return None
-    return tuple(Fraction(x) for x in vec)
+    return None if vec is None else tuple(Fraction(x) for x in vec)
 
 
 def network_to_dict(net: ReactionNetwork, dims: tuple[int, int, int, int]) -> dict:
@@ -74,6 +71,21 @@ def network_to_dict(net: ReactionNetwork, dims: tuple[int, int, int, int]) -> di
     }
 
 
+def _certificate_to_dict(c) -> Optional[dict]:
+    # vars, not dataclasses.asdict: the fields are flat, and asdict copies them recursively
+    return None if c is None else {"kind": c.kind, **vars(c)}
+
+
+def _certificate_from_dict(d: Optional[dict]):
+    if d is None:
+        return None
+    try:  # not an object, an unknown kind, or fields not of its kind
+        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "kind"}
+        return CERTIFICATES[d.get("kind")](**fields)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed certificate {d!r}") from exc
+
+
 def _verdict_to_dict(v: GenericRankVerdict, include_h: bool) -> dict:
     out = {
         "status": v.status.value,
@@ -83,20 +95,19 @@ def _verdict_to_dict(v: GenericRankVerdict, include_h: bool) -> dict:
     if include_h:
         out["witness_h"] = _frac_list(v.witness_h)
     out["witness_w"] = _frac_list(v.witness_w)
-    out["certificate"] = list(v.certificate) if v.certificate is not None else None
+    out["certificate"] = _certificate_to_dict(v.certificate)
     out["samples_tried"] = v.samples_tried
     return out
 
 
 def _verdict_from_dict(d: dict) -> GenericRankVerdict:
-    cert = d.get("certificate")
     return GenericRankVerdict(
         target_rank=d["target_rank"],
         status=RankTestStatus(d["status"]),
         witness_u=_parse_frac_list(d.get("witness_u")),
         witness_h=_parse_frac_list(d.get("witness_h")),
         witness_w=_parse_frac_list(d.get("witness_w")),
-        certificate=tuple(cert) if cert is not None else None,
+        certificate=_certificate_from_dict(d.get("certificate")),
         samples_tried=d["samples_tried"],
     )
 
@@ -213,8 +224,7 @@ def _verdict_lines(name: str, v: GenericRankVerdict) -> list[str]:
             f"{name}: all solutions degenerate "
             f"(target rank {v.target_rank}, samples tried {v.samples_tried})"
         )
-        for line in v.certificate:
-            lines.append(f"{name} certificate: {line}")
+        lines.append(f"{name} certificate: {json.dumps(_certificate_to_dict(v.certificate))}")
     return lines
 
 

@@ -22,12 +22,12 @@ rows with MPoly entries, over the variables u_t (index t) and h_j
 (index u_dim + j).  The first sample of highest rank modulo p, rho,
 gives a nonsingular rho x rho submatrix; its bordering (rho+1)-minors,
 each decided from the blocks of that submatrix, either all vanish, which
-proves the rank is rho everywhere (Kronecker's theorem, a symbolic
-certificate), or one of them is a nonzero polynomial.  That minor is
-sampled until it is nonzero, at a point of rank at least rho + 1: the
-witness once rho + 1 reaches the target, else the next submatrix.  When
-the first matrix is rank deficient everywhere, so is the second, and its
-test is skipped.
+proves the rank is rho everywhere (Kronecker's theorem; that submatrix
+and the sample are the certificate), or one of them is a nonzero
+polynomial.  That minor is sampled until it is nonzero, at a point of
+rank at least rho + 1: the witness once rho + 1 reaches the target, else
+the next submatrix.  When the first matrix is rank deficient everywhere,
+so is the second, and its test is skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
 from .mpoly import MinorWitness, MPoly, all_minors_zero
@@ -97,14 +97,39 @@ class RankTestStatus(str, Enum):
 
 
 @dataclass(frozen=True)
+class BorderingCertificate:
+    """Rank ``len(rows)`` everywhere: the minor (rows, cols) is nonzero at the sample (``sample_h``
+    None in the f-test), and every minor bordering it is the zero polynomial (Kronecker)."""
+
+    kind: ClassVar[str] = "bordering"
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    sample_u: tuple[int, ...]
+    sample_h: Optional[tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class ImpliedByF:
+    """All-degenerate F-test after an all-degenerate f-test: rank F <= rank f + d < s + d = n."""
+
+    kind: ClassVar[str] = "implied_by_f"
+    d: int
+
+
+CERTIFICATES = {c.kind: c for c in (BorderingCertificate, ImpliedByF)}
+
+
+@dataclass(frozen=True)
 class GenericRankVerdict:
+    """A witness (nondegenerate_exists) or a certificate (all_degenerate)."""
+
     target_rank: int
     status: RankTestStatus
-    witness_u: Optional[tuple[Fraction, ...]]
-    witness_h: Optional[tuple[Fraction, ...]]
-    witness_w: Optional[tuple[Fraction, ...]]
-    certificate: Optional[tuple[str, ...]]
     samples_tried: int
+    witness_u: Optional[tuple[Fraction, ...]] = None
+    witness_h: Optional[tuple[Fraction, ...]] = None
+    witness_w: Optional[tuple[Fraction, ...]] = None
+    certificate: BorderingCertificate | ImpliedByF | None = None
 
     @property
     def nondegenerate(self) -> bool:
@@ -233,33 +258,6 @@ def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[in
     return tuple(u_vals), h_vals
 
 
-def _indices(idx: Sequence[int]) -> str:
-    return "(" + ",".join(map(str, idx)) + ")"
-
-
-def _bordering_certificate(
-    shape: tuple[int, int],
-    basis: tuple[tuple[int, ...], tuple[int, ...]],
-    target: int,
-    u_vals: tuple[int, ...],
-    h_vals: Optional[tuple[int, ...]],
-) -> tuple[str, ...]:
-    """Certificate lines: header, the sample, then every bordering minor,
-    added row ascending, then added column ascending."""
-    rows, cols = basis
-    lines = [
-        f"rank {len(rows)} < {target}: minor rows={_indices(rows)} cols={_indices(cols)} "
-        "is nonzero at the sample below; every bordering minor is 0",
-        "sample u:" + "".join(f" {x}" for x in u_vals),
-    ]
-    if h_vals is not None:
-        lines.append("sample h:" + "".join(f" {x}" for x in h_vals))
-    row_sets = [_indices(sorted((*rows, i))) for i in range(shape[0]) if i not in rows]
-    col_sets = [_indices(sorted((*cols, j))) for j in range(shape[1]) if j not in cols]
-    lines += [f"minor rows={r} cols={c}: 0" for r in row_sets for c in col_sets]
-    return tuple(lines)
-
-
 def generic_rank_test(
     matrix: MatrixFn,
     target: int,
@@ -287,7 +285,7 @@ def generic_rank_test(
     the minors bordering it are decided symbolically:
 
       * all zero: the rank is rho over Q(u, h); AllDegenerate, with a
-        certificate naming (R, C), the sample and every bordering minor;
+        ``BorderingCertificate`` of (R, C) and the sample;
       * one nonzero: it is sampled until it evaluates nonzero (doubling the
         sample bound whenever a round of ``_PIT_BUDGET`` samples is
         exhausted), a point of rank at least rho + 1.  If rho + 1 reaches the
@@ -311,8 +309,6 @@ def generic_rank_test(
             status=RankTestStatus.NONDEGENERATE_EXISTS,
             witness_u=tuple(Fraction(x) for x in u_vals),
             witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
-            witness_w=None,
-            certificate=None,
             samples_tried=samples,
         )
 
@@ -347,8 +343,7 @@ def generic_rank_test(
         if best is None or len(basis[0]) > len(best[0][0]):
             best = (basis, u_vals, h_vals)
     # no sample reaches a target above the matrix's size, so checking here covers it
-    shape = (len(rows), cols)
-    if target > min(shape):
+    if target > min(len(rows), cols):
         raise ValueError(f"target rank {target} out of range for {len(rows)}x{cols}")
 
     basis, u_vals, h_vals = best
@@ -360,10 +355,7 @@ def generic_rank_test(
             return GenericRankVerdict(
                 target_rank=target,
                 status=RankTestStatus.ALL_DEGENERATE,
-                witness_u=None,
-                witness_h=None,
-                witness_w=None,
-                certificate=_bordering_certificate(shape, basis, target, u_vals, h_vals),
+                certificate=BorderingCertificate(*basis, u_vals, h_vals),
                 samples_tried=samples,
             )
         # the minor is nonzero at the hunted point: its rank is at least rank + 1
@@ -447,8 +439,8 @@ def analyze_matrices(
 
     When the f-test is AllDegenerate the F-test is not run: the top block
     of the F matrix has the f matrix's rank and W adds at most d, so
-    rank F <= rank f + d < s + d = n.  Its verdict cites the f certificate
-    and reports 0 samples.
+    rank F <= rank f + d < s + d = n.  Its certificate is ``ImpliedByF(d)``
+    and it reports 0 samples.
 
     A nondegenerate verdict's ``witness_w`` is G u at its integer witness u.
     """
@@ -473,13 +465,7 @@ def analyze_matrices(
         F_verdict = GenericRankVerdict(
             target_rank=mats.n,
             status=RankTestStatus.ALL_DEGENERATE,
-            witness_u=None,
-            witness_h=None,
-            witness_w=None,
-            certificate=(
-                f"rank <= rank(f_test) + {mats.d} < {mats.s} + {mats.d} = {mats.n}: "
-                "implied by the f_test certificate",
-            ),
+            certificate=ImpliedByF(mats.d),
             samples_tried=0,
         )
 

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume
@@ -121,7 +119,8 @@ def bordering_minors(nrows: int, ncols: int, basis):
 
     Each adds one row outside ``rows`` and one column outside ``cols``;
     yields ``(rows', cols')`` as sorted tuples, added row ascending, then
-    added column ascending, the order of the certificate's minor lines.
+    added column ascending: the minors a ``BorderingCertificate`` asserts
+    to be the zero polynomial.
     """
     rows, cols = basis
     free_rows = [i for i in range(nrows) if i not in rows]
@@ -171,55 +170,3 @@ def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
         term = a * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
-
-
-_INDICES = r"\(([0-9,]*)\)"
-_HEADER = re.compile(
-    rf"rank (\d+) < (\d+): minor rows={_INDICES} cols={_INDICES} "
-    r"is nonzero at the sample below; every bordering minor is 0"
-)
-_MINOR = re.compile(rf"minor rows={_INDICES} cols={_INDICES}: 0")
-
-
-def _indices(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",")) if text else ()
-
-
-def _values(line: str, name: str) -> tuple[Fraction, ...]:
-    prefix = f"sample {name}:"
-    assert line.startswith(prefix), line
-    return tuple(Fraction(x) for x in line[len(prefix) :].split())
-
-
-class BorderingCertificate(NamedTuple):
-    """A parsed bordering-minor certificate (schema v2 grammar)."""
-
-    rank: int
-    target: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    u: tuple[Fraction, ...]
-    h: Optional[tuple[Fraction, ...]]
-    minors: list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-
-def parse_certificate(lines, with_h: bool) -> BorderingCertificate:
-    """Parse header, sample line(s) and minor lines; fails on any other text."""
-    header = _HEADER.fullmatch(lines[0])
-    assert header, lines[0]
-    u = _values(lines[1], "u")
-    h = _values(lines[2], "h") if with_h else None
-    minors = []
-    for line in lines[3 if with_h else 2 :]:
-        m = _MINOR.fullmatch(line)
-        assert m, line
-        minors.append((_indices(m.group(1)), _indices(m.group(2))))
-    return BorderingCertificate(
-        rank=int(header.group(1)),
-        target=int(header.group(2)),
-        rows=_indices(header.group(3)),
-        cols=_indices(header.group(4)),
-        u=u,
-        h=h,
-        minors=minors,
-    )

@@ -33,11 +33,11 @@ from steadydim.ratmat import RatMatrix
 from conftest import (
     CALCIUM_B,
     CALCIUM_GAMMA,
+    bordering_minors,
     cofactor_det,
     dict_rows,
     example42_family_text,
     fixture_path,
-    parse_certificate,
     random_network,
     random_rational_matrix,
 )
@@ -120,15 +120,16 @@ def test_criterion_2_rank_deficient_network(capsys):
     report = analyze(net, SamplerConfig(seed=2024))
     assert report.f_verdict.status is RankTestStatus.ALL_DEGENERATE
     assert report.f_verdict.certificate is not None
-    cert = parse_certificate(report.f_verdict.certificate, with_h=False)
+    cert = report.f_verdict.certificate
     # the certificate proves rank exactly 1 < 3: its 1x1 minor is nonzero
     # at its sample and all (3-1)(3-1) = 4 minors bordering it are the zero
     # polynomial (re-derived via determinants here)
-    assert (cert.rank, cert.target) == (1, 3)
-    assert len(cert.minors) == 4
+    assert (len(cert.rows), report.f_verdict.target_rank) == (1, 3)
+    minors = list(bordering_minors(mats.s, mats.n, (cert.rows, cert.cols)))
+    assert len(minors) == 4
     jac = symbolic_jacobian_f(mats, mats.n_mat.kernel_basis())
-    assert jac[cert.rows[0]][cert.cols[0]].eval(cert.u) != 0
-    for rows, cols in cert.minors:
+    assert jac[cert.rows[0]][cert.cols[0]].eval(cert.sample_u) != 0
+    for rows, cols in minors:
         assert det([jac[i] for i in rows], cols).is_zero()
     assert det(jac, range(mats.n)).is_zero()
     assert report.conclusion_f is VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
@@ -368,7 +369,8 @@ def test_criterion_6_synthetic_large_network(capsys):
 def test_criterion_7_replicated_degenerate_network(capsys):
     # every example42 block and every reversible pair adds 1 to the generic
     # rank of the f matrix, so rho = k + d = 9 < s = 17; the certificate
-    # lists the (s - rho)(n - rho) minors bordering one nonsingular 9x9 block
+    # names one nonsingular 9x9 block and its sample, not the
+    # (s - rho)(n - rho) minors bordering it
     net = parse_network(example42_family_text(4, 5))
     t0 = time.perf_counter()
     report = analyze(net, SamplerConfig(seed=2024))
@@ -378,7 +380,7 @@ def test_criterion_7_replicated_degenerate_network(capsys):
     assert report.f_verdict.status is RankTestStatus.ALL_DEGENERATE
     assert report.F_verdict.status is RankTestStatus.ALL_DEGENERATE
     rho = 9
-    assert parse_certificate(report.f_verdict.certificate, with_h=False).rank == rho
-    assert len(report.f_verdict.certificate) <= 2 + (s - rho) * (n - rho)
+    assert len(report.f_verdict.certificate.rows) == rho
+    assert len(json.dumps(cli.report_to_dict(report)["f_test"]["certificate"])) < 1024
     with capsys.disabled():
         _report("7", "22-species replicated example42 certificate", elapsed, 10.0)

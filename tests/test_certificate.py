@@ -1,24 +1,27 @@
 """Independent check of all_degenerate certificates.
 
 Each certificate is re-checked with sympy alone: the symbolic matrix is
-rebuilt from the network's integer matrices, the base minor is
-evaluated at the recorded sample, every listed minor is expanded to the
-zero polynomial, and the listed minors must be exactly the set that
-borders the base.  By Kronecker's rank theorem that proves the rank is
-the header's rho < target over Q(u, h).  Only the matrices (through
+rebuilt from the network's integer matrices, the base minor (rows, cols)
+is evaluated at the recorded sample, and every minor bordering it, as
+the test oracle ``bordering_minors`` lists them, is expanded to the zero
+polynomial.  By Kronecker's rank theorem that proves the rank is
+rho = len(rows) < target over Q(u, h).  Only the matrices (through
 ratmat) are shared with the solver.
 """
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 
 from steadydim.netmodel import NetworkMatrices, parse_network
-from steadydim.nondegen import RankTestStatus, SamplerConfig, analyze
+from steadydim.nondegen import BorderingCertificate, ImpliedByF, RankTestStatus, SamplerConfig, analyze
 
-from conftest import fixture_path, parse_certificate, random_network
+from conftest import bordering_minors, fixture_path, random_network
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _sym(m) -> sympy.Matrix:
@@ -39,28 +42,24 @@ def _sympy_matrices(mats: NetworkMatrices):
 
 
 def check_certificate(matrix, verdict, us, hs) -> None:
-    cert = parse_certificate(verdict.certificate, with_h=hs is not None)
+    cert = verdict.certificate
+    assert isinstance(cert, BorderingCertificate)
     nrows, ncols = matrix.shape
-    assert cert.target == verdict.target_rank
-    assert cert.rank < cert.target
-    assert len(cert.rows) == len(cert.cols) == cert.rank
-    point = dict(zip(us, cert.u))
-    assert len(cert.u) == len(us)
-    if hs is not None:
-        assert len(cert.h) == len(hs) and min(cert.h) > 0
-        point.update(zip(hs, cert.h))
+    rank = len(cert.rows)
+    assert len(cert.cols) == rank < verdict.target_rank
+    assert set(cert.rows) <= set(range(nrows)) and set(cert.cols) <= set(range(ncols))
+    point = dict(zip(us, cert.sample_u))
+    assert len(cert.sample_u) == len(us)
+    if hs is None:
+        assert cert.sample_h is None
+    else:
+        assert len(cert.sample_h) == len(hs) and min(cert.sample_h) > 0
+        point.update(zip(hs, cert.sample_h))
     base = matrix.extract(list(cert.rows), list(cert.cols)).subs(point)
     assert base.det() != 0
-    bordering = [
-        (tuple(sorted(cert.rows + (i,))), tuple(sorted(cert.cols + (j,))))
-        for i in range(nrows)
-        if i not in cert.rows
-        for j in range(ncols)
-        if j not in cert.cols
-    ]
-    assert len(bordering) == (nrows - cert.rank) * (ncols - cert.rank)
-    assert cert.minors == bordering
-    for rows, cols in cert.minors:
+    bordering = list(bordering_minors(nrows, ncols, (cert.rows, cert.cols)))
+    assert len(bordering) == (nrows - rank) * (ncols - rank)
+    for rows, cols in bordering:
         minor = matrix.extract(list(rows), list(cols)).det(method="berkowitz")
         assert sympy.expand(minor) == 0
 
@@ -76,10 +75,7 @@ def check_report(net) -> dict[str, int]:
         checked["f"] += 1
         assert report.F_verdict.status is RankTestStatus.ALL_DEGENERATE
         assert report.F_verdict.samples_tried == 0
-        assert report.F_verdict.certificate == (
-            f"rank <= rank(f_test) + {mats.d} < {mats.s} + {mats.d} = {mats.n}: "
-            "implied by the f_test certificate",
-        )
+        assert report.F_verdict.certificate == ImpliedByF(mats.d)
     elif report.F_verdict.status is RankTestStatus.ALL_DEGENERATE:
         check_certificate(full, report.F_verdict, us, hs)
         checked["F"] += 1
@@ -110,18 +106,27 @@ def test_checker_rejects_tampered_certificates():
     f, _, us, _ = _sympy_matrices(mats)
     verdict = analyze(net, SamplerConfig(seed=7)).f_verdict
     check_certificate(f, verdict, us, None)
-    lines = verdict.certificate
+    cert = verdict.certificate
     tampered = [
-        lines[:-1],  # a bordering minor left out
-        (lines[0], "sample u: 0") + lines[2:],  # base minor zero at the sample
-        # claims rank 0: lists the nonzero 1x1 minors as 0
-        ("rank 0 < 3: minor rows=() cols=() is nonzero at the sample below; "
-         "every bordering minor is 0", lines[1])
-        + tuple(f"minor rows=({i}) cols=({j}): 0" for i in range(3) for j in range(3)),
-        # claims rank 2: no 2x2 minor is nonzero
-        ("rank 2 < 3: minor rows=(0,1) cols=(0,1) is nonzero at the sample below; "
-         "every bordering minor is 0", lines[1], "minor rows=(0,1,2) cols=(0,1,2): 0"),
+        dataclasses.replace(cert, sample_u=(0,)),  # base minor zero at the sample
+        dataclasses.replace(cert, rows=(), cols=()),  # claims rank 0: the 1x1 minors are not 0
+        dataclasses.replace(cert, rows=(0, 1), cols=(0, 1)),  # claims rank 2: no 2x2 minor is nonzero
     ]
-    for cert in tampered:
+    for bad in tampered:
         with pytest.raises(AssertionError):
-            check_certificate(f, dataclasses.replace(verdict, certificate=cert), us, None)
+            check_certificate(f, dataclasses.replace(verdict, certificate=bad), us, None)
+
+
+def test_checker_rejects_a_basis_column_swapped_out():
+    # three example42 blocks and three reversible pairs; any nonsingular
+    # basis proves the rank, so the swap takes column 0 of the first block
+    # for column 4 of the second, which the basis row 0 does not meet
+    net = parse_network((REPO / "tests" / "data" / "example42_k3_d3.crn").read_text())
+    f, _, us, _ = _sympy_matrices(NetworkMatrices.from_network(net))
+    verdict = analyze(net, SamplerConfig(seed=7)).f_verdict
+    check_certificate(f, verdict, us, None)
+    cert = verdict.certificate
+    assert cert.rows[0] == cert.cols[0] == 0 and 4 not in cert.cols
+    bad = dataclasses.replace(cert, cols=(4,) + cert.cols[1:])
+    with pytest.raises(AssertionError):
+        check_certificate(f, dataclasses.replace(verdict, certificate=bad), us, None)

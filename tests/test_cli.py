@@ -1,16 +1,19 @@
 import gc
 import json
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steadydim import cli
 from steadydim.netmodel import NetworkMatrices, parse_network
 from steadydim.nondegen import SamplerConfig, analyze
 
-from conftest import CALCIUM_B, CALCIUM_GAMMA, fixture_path
+from conftest import CALCIUM_B, CALCIUM_GAMMA, fixture_path, random_network
 
 CALCIUM = str(fixture_path("calcium.crn"))
 EXAMPLE42 = str(fixture_path("example42.crn"))
@@ -116,12 +119,49 @@ def test_analyze_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "analyze", CALCIUM, "--json", "--seed", "11")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     report = cli.report_from_dict(payload)
     direct = analyze(
         parse_network(fixture_path("calcium.crn").read_text()), SamplerConfig(seed=11)
     )
     assert report == direct
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32), st.integers(0, 99))
+def test_report_round_trips_through_json(net_seed, seed):
+    # about half of these networks are all_degenerate, with a bordering f
+    # certificate and an implied_by_f one; the golden records add bordering F
+    report = analyze(random_network(random.Random(net_seed)), SamplerConfig(seed=seed))
+    assert cli.report_from_dict(json.loads(json.dumps(cli.report_to_dict(report)))) == report
+
+
+def test_report_from_dict_rejects_schema_2_and_malformed_certificates(capsys):
+    _, out, _ = run_cli(capsys, "analyze", EXAMPLE42, "--json", "--seed", "7")
+    payload = json.loads(out)
+    assert payload["f_test"]["certificate"]["kind"] == "bordering"
+    cli.report_from_dict(payload)
+    with pytest.raises(ValueError, match="schema_version 2"):
+        cli.report_from_dict({**payload, "schema_version": 2})
+    tampers = [
+        lambda cert: cert.update(kind="minors"),
+        lambda cert: cert.update(kind=None),
+        lambda cert: cert.update(kind=["bordering"]),
+        lambda cert: cert.pop("kind"),
+        lambda cert: cert.pop("sample_h"),
+        lambda cert: cert.update(rank=1),
+        lambda cert: cert.update(kind="implied_by_f"),
+    ]
+    for tamper in tampers:
+        bad = json.loads(out)
+        tamper(bad["f_test"]["certificate"])
+        with pytest.raises(ValueError, match="malformed certificate"):
+            cli.report_from_dict(bad)
+    # a schema-2 certificate, its lines of text, under a schema-3 header
+    bad = json.loads(out)
+    bad["f_test"]["certificate"] = ["rank 1 < 3: minor rows=(0) cols=(0) is nonzero at the sample below"]
+    with pytest.raises(ValueError, match="malformed certificate"):
+        cli.report_from_dict(bad)
 
 
 def test_analyze_json_deterministic(capsys):

@@ -5,9 +5,10 @@ every fixture and every network in ``tests/data`` at seeds 0 and 7.
 Those are the criterion-6 chains of 12 and 30 species
 (``chain*.crn``), the replicated ``example42_family(3, 3)`` and
 ``example42_family(8, 10)`` of ``bench/workloads.py``, which take the
-certificate path (the second one's 418-line certificate borders a basis
-of 18 blocks, so it pins the block-by-block minor test), and two random
-networks of its ``screen_small`` workload at seed 0: ``empty_cone.crn``
+certificate path (the second one's certificate names a basis of 18
+blocks, and deciding its 416 bordering minors pins the block-by-block
+minor test), and two random networks of its ``screen_small`` workload at
+seed 0: ``empty_cone.crn``
 (``random003``), whose cone is empty and whose simplex pivots through
 non-integral ratios, and ``fractional_rref.crn`` (``random001``), whose
 stoichiometric matrix has an RREF entry that is not an integer, and
@@ -16,6 +17,7 @@ modulus of the rank test, so every sample's rank modulo p falls short
 and each witness is a hunted point.  A change that alters any
 of these bytes must be deliberate: regenerate the file and say why in
 CHANGES.md (a report format change also bumps ``schema_version``).
+Every record also round-trips through ``report_from_dict`` byte for byte.
 """
 
 import json
@@ -42,3 +44,10 @@ def test_report_bytes_are_pinned(record, capsys):
     code = cli.main(["analyze", str(REPO / record["input"]), "--json", "--seed", str(record["seed"])])
     assert code == 0
     assert capsys.readouterr().out == record["stdout"]
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=lambda r: f"{Path(r['input']).stem}-seed{r['seed']}")
+def test_report_round_trips_byte_for_byte(record):
+    # bordering certificates of f and F, implied_by_f, an empty cone and hunted witnesses
+    report = cli.report_from_dict(json.loads(record["stdout"]))
+    assert json.dumps(cli.report_to_dict(report)) + "\n" == record["stdout"]

@@ -15,10 +15,12 @@ from steadydim.mpoly import MPoly, all_minors_zero
 from steadydim.netmodel import NetworkMatrices, parse_network
 from steadydim.nondegen import (
     AnalysisReport,
+    BorderingCertificate,
     BudgetExhausted,
     ClassesConclusion,
     DimensionMismatch,
     F_test_matrix,
+    ImpliedByF,
     RankTestStatus,
     SamplerConfig,
     VarietyConclusion,
@@ -36,11 +38,9 @@ from steadydim.ratmat import MODULUS, RatMatrix
 
 from conftest import (
     NETWORK_MATRICES,
-    bordering_minors,
     diag,
     dict_rows,
     fixture_path,
-    parse_certificate,
     random_network,
 )
 
@@ -261,9 +261,10 @@ def test_generic_rank_all_degenerate_with_certificate():
     assert verdict.certificate is not None
     # the generic rank is 1: one nonsingular 1x1 minor, and the 3x3 matrix
     # has (3-1)(3-1) = 4 minors of size 2 bordering it
-    cert = parse_certificate(verdict.certificate, with_h=False)
-    assert (cert.rank, cert.target) == (1, 3)
-    assert len(verdict.certificate) == 2 + 4
+    cert = verdict.certificate
+    assert isinstance(cert, BorderingCertificate)
+    assert (len(cert.rows), len(cert.cols), verdict.target_rank) == (1, 1, 3)
+    assert len(cert.sample_u) == 1 and cert.sample_h is None
     assert verdict.samples_tried == 5
 
 
@@ -306,9 +307,7 @@ def test_generic_rank_bordering_grows_then_certifies():
     verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=rng)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.samples_tried == 6
-    cert = parse_certificate(verdict.certificate, with_h=False)
-    assert (cert.rank, cert.rows, cert.cols, cert.u) == (2, (0, 1), (0, 1), (2, 2))
-    assert cert.minors == [((0, 1, 2), (0, 1, 2))]
+    assert verdict.certificate == BorderingCertificate((0, 1), (0, 1), (2, 2), None)
 
 
 def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
@@ -335,24 +334,8 @@ def test_generic_rank_certificate_from_equal_samples_eliminates_once(monkeypatch
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 2]))
     assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 5
-    cert = parse_certificate(verdict.certificate, with_h=False)
-    assert (cert.rank, cert.rows, cert.cols, cert.u) == (2, (0, 1), (0, 1), (2, 2))
+    assert verdict.certificate == BorderingCertificate((0, 1), (0, 1), (2, 2), None)
     assert eliminated == []
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
-def test_bordering_certificate_lists_the_minors_in_bordering_order(nrows, ncols, with_h, data):
-    size = data.draw(st.integers(0, min(nrows, ncols) - 1))
-    rows = tuple(data.draw(st.permutations(range(nrows)))[:size])
-    cols = tuple(data.draw(st.permutations(range(ncols)))[:size])
-    h_vals = (3, 1) if with_h else None
-    lines = nondegen._bordering_certificate((nrows, ncols), (rows, cols), size + 1, (-5, 2), h_vals)
-    cert = parse_certificate(lines, with_h=with_h)
-    assert (cert.rank, cert.target, cert.rows, cert.cols, cert.u, cert.h) == (
-        size, size + 1, rows, cols, (-5, 2), h_vals
-    )
-    assert cert.minors == list(bordering_minors(nrows, ncols, (rows, cols)))
 
 
 def test_sample_rank_and_profile_run_no_back_substitution(monkeypatch):
@@ -440,9 +423,9 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
         return
     # the named minor is nonzero at the sample, and every target x target
     # minor of the polynomial matrix is zero
-    cert = parse_certificate(verdict.certificate, with_h=False)
-    assert cert.rank == len(cert.rows) < target
-    sample = [[dense(cert.u)[i][j] for j in cert.cols] for i in cert.rows]
+    cert = verdict.certificate
+    assert len(cert.rows) == len(cert.cols) < target and cert.sample_h is None
+    sample = [[dense(cert.sample_u)[i][j] for j in cert.cols] for i in cert.rows]
     assert sympy.Matrix(len(sample), len(sample), lambda i, j: sympy.Rational(sample[i][j])).det() != 0
     symbolic = sympy.Matrix(dense(sympy.symbols(f"u:{inner}")))
     for r in itertools.combinations(range(rows), target):
@@ -598,9 +581,7 @@ def test_analyze_rank_one_network():
     # the F verdict follows from the f certificate without being run
     assert report.F_verdict.status is RankTestStatus.ALL_DEGENERATE
     assert report.F_verdict.samples_tried == 0
-    assert report.F_verdict.certificate == (
-        "rank <= rank(f_test) + 0 < 3 + 0 = 3: implied by the f_test certificate",
-    )
+    assert report.F_verdict.certificate == ImpliedByF(0)
     assert report.conclusion_f is VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
     assert report.conclusion_F is ClassesConclusion.GENERICALLY_EMPTY_OR_INFINITE
 
