@@ -100,14 +100,14 @@ def _verdict_to_dict(v: GenericRankVerdict, include_h: bool) -> dict:
     return out
 
 
-def _verdict_from_dict(d: dict) -> GenericRankVerdict:
+def _verdict_from_dict(d: dict, include_h: bool) -> GenericRankVerdict:
     return GenericRankVerdict(
         target_rank=d["target_rank"],
         status=RankTestStatus(d["status"]),
-        witness_u=_parse_frac_list(d.get("witness_u")),
-        witness_h=_parse_frac_list(d.get("witness_h")),
-        witness_w=_parse_frac_list(d.get("witness_w")),
-        certificate=_certificate_from_dict(d.get("certificate")),
+        witness_u=_parse_frac_list(d["witness_u"]),
+        witness_h=_parse_frac_list(d["witness_h"]) if include_h else None,
+        witness_w=_parse_frac_list(d["witness_w"]),
+        certificate=_certificate_from_dict(d["certificate"]),
         samples_tried=d["samples_tried"],
     )
 
@@ -131,29 +131,33 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    netinfo = d["network"]
-    network = None
-    if netinfo.get("reactions") is not None:
-        network = parse_network("\n".join(netinfo["reactions"]))
-        if list(network.species) != netinfo["species"]:
-            raise ValueError("species list does not match reactions")
-    witness = _parse_frac_list(d["cone"].get("witness"))
-    cone = ConeResult(
-        status=ConeStatus.POSITIVE_VECTOR_EXISTS if d["cone"]["exists"] else ConeStatus.EMPTY,
-        witness=witness,
-    )
-    return AnalysisReport(
-        network=network,
-        dims=(netinfo["n"], netinfo["r"], netinfo["s"], netinfo["d"]),
-        cone=cone,
-        f_verdict=_verdict_from_dict(d["f_test"]),
-        F_verdict=_verdict_from_dict(d["F_test"]),
-        conclusion_f=VarietyConclusion(d["conclusions"]["steady_state_variety"]),
-        conclusion_F=ClassesConclusion(d["conclusions"]["compatibility_classes"]),
-        notes=tuple(d["notes"]),
-    )
+    """The report that ``report_to_dict`` wrote; ValueError for another
+    schema version, a missing key, or a value of a type it cannot read."""
+    try:
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
+        netinfo = d["network"]
+        network = None
+        if netinfo["reactions"] is not None:
+            network = parse_network("\n".join(netinfo["reactions"]))
+            if list(network.species) != netinfo["species"]:
+                raise ValueError("species list does not match reactions")
+        cone = ConeResult(
+            status=ConeStatus.POSITIVE_VECTOR_EXISTS if d["cone"]["exists"] else ConeStatus.EMPTY,
+            witness=_parse_frac_list(d["cone"]["witness"]),
+        )
+        return AnalysisReport(
+            network=network,
+            dims=(netinfo["n"], netinfo["r"], netinfo["s"], netinfo["d"]),
+            cone=cone,
+            f_verdict=_verdict_from_dict(d["f_test"], include_h=False),
+            F_verdict=_verdict_from_dict(d["F_test"], include_h=True),
+            conclusion_f=VarietyConclusion(d["conclusions"]["steady_state_variety"]),
+            conclusion_F=ClassesConclusion(d["conclusions"]["compatibility_classes"]),
+            notes=tuple(d["notes"]),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from exc
 
 
 def _int_matrix(m: RatMatrix) -> list[list[int]]:

@@ -13,21 +13,21 @@ Jacobian at an explicit point, come from one routine, ``jacobian``, which
 sums the nonzero products N[i,k] B[j,k] (collected once per network)
 against numbers or polynomials alike into sparse rows, one dict
 {column: nonzero entry} per row, so a sample costs time in its nonzeros,
-not in s x n.  Each target rank is tested at random integer points,
+not in s x n.  Each target rank is tested at one random integer point,
 straight from the integer matrices: one forward pass modulo the prime
 2^61 - 1 gives a submatrix that is nonsingular modulo p, hence over Q,
 so a sample whose submatrix reaches the target is a proven witness.
-Only when none does is the polynomial matrix built, in the same sparse
-rows with MPoly entries, over the variables u_t (index t) and h_j
-(index u_dim + j).  The first sample of highest rank modulo p, rho,
-gives a nonsingular rho x rho submatrix; its bordering (rho+1)-minors,
-each decided from the blocks of that submatrix, either all vanish, which
-proves the rank is rho everywhere (Kronecker's theorem; that submatrix
-and the sample are the certificate), or one of them is a nonzero
-polynomial.  That minor is sampled until it is nonzero, at a point of
-rank at least rho + 1: the witness once rho + 1 reaches the target, else
-the next submatrix.  When the first matrix is rank deficient everywhere,
-so is the second, and its test is skipped.
+Only when it falls short is the polynomial matrix built, in the same
+sparse rows with MPoly entries, over the variables u_t (index t) and h_j
+(index u_dim + j).  The sample's rank modulo p, rho, gives a nonsingular
+rho x rho submatrix; its bordering (rho+1)-minors, each decided from the
+blocks of that submatrix, either all vanish, which proves the rank is
+rho everywhere (Kronecker's theorem; that submatrix and the sample are
+the certificate), or one of them is a nonzero polynomial.  That minor is
+sampled until it is nonzero, at a point of rank at least rho + 1: the
+witness once rho + 1 reaches the target, else the next submatrix.
+When the first matrix is rank deficient everywhere, so is the second,
+and its test is skipped.
 
 Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
@@ -39,6 +39,7 @@ many.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -46,15 +47,14 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .cone import ConeResult, ConeStatus, positive_kernel_vector
-from .mpoly import MinorWitness, MPoly, all_minors_zero
+from .mpoly import MPoly, all_minors_zero
 from .netmodel import NetworkMatrices, ReactionNetwork
 from .ratmat import RatMatrix, basis_mod_p
 
 _ONE = Fraction(1)
 
-# samples drawn before the bordering-minor loop, and the bound H of their
-# components: constants, since every verdict is proved whatever they are
-_RETRIES = 5
+# the bound H of a sample's components: a constant, since every verdict
+# is proved whatever it is
 _SAMPLE_BOUND = 65536
 # samples per round when hunting a nonzero value of a known nonzero minor;
 # the sample bound doubles between rounds
@@ -71,9 +71,9 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Settings of the randomized rank test, which draws ``_RETRIES``
-    samples first, components from [-H, H] (u, zero excluded) or [1, H]
-    (h), H = ``_SAMPLE_BOUND``.
+    """Settings of the randomized rank test, which draws one sample first,
+    components from [-H, H] (u, zero excluded) or [1, H] (h),
+    H = ``_SAMPLE_BOUND``.
 
     seed: base RNG seed; every derived stream is a pure function of it.
     hard_cap: optional absolute cap on minor-hunt samples (off by default;
@@ -276,16 +276,15 @@ def generic_rank_test(
     matrix at integer u and h, and the polynomial matrix is the same
     function at the variables u1.., h1...
 
-    Up to ``_RETRIES`` samples first.  Each gets one forward pass modulo
-    the prime ``ratmat.MODULUS``, ``basis_mod_p``: rows R and columns C of
-    a submatrix that is nonsingular over Q.  The first sample with
-    ``len(R) >= target`` is the witness, and ``samples_tried`` counts the
-    samples up to it.  Otherwise the polynomial matrix is built, and the
-    first sample of highest ``len(R)`` (rho) gives the basis (R, C).  Only
+    One sample first, with one forward pass modulo the prime
+    ``ratmat.MODULUS``, ``basis_mod_p``: rows R and columns C of a
+    submatrix that is nonsingular over Q.  If ``len(R) >= target`` the
+    sample is the witness.  Otherwise the polynomial matrix is built, and
+    while the basis (R, C), of size rho, falls short of the target, only
     the minors bordering it are decided symbolically:
 
       * all zero: the rank is rho over Q(u, h); AllDegenerate, with a
-        ``BorderingCertificate`` of (R, C) and the sample;
+        ``BorderingCertificate`` of (R, C) and its sample;
       * one nonzero: it is sampled until it evaluates nonzero (doubling the
         sample bound whenever a round of ``_PIT_BUDGET`` samples is
         exhausted), a point of rank at least rho + 1.  If rho + 1 reaches the
@@ -293,76 +292,55 @@ def generic_rank_test(
         are the next basis and sample, so the loop runs at most
         target - rho rounds.
 
-    A witness is a point at which the exact rank of the evaluated matrix
-    is at least ``target``; ``witness_w`` is left None.  A negative
-    target raises ValueError, and so does one above min(rows, cols) once
-    the samples have shown the matrix's shape.
+    ``samples_tried`` is 1 plus the hunted samples, which alone count
+    toward ``hard_cap``.  A witness is a point at which the exact rank of
+    the evaluated matrix is at least ``target``; ``witness_w`` is left
+    None.  A negative target raises ValueError, and so does one above
+    min(rows, cols) once the first sample has shown the matrix's shape.
     """
     if target < 0:
         raise ValueError(f"negative target rank {target}")
     cfg = cfg or SamplerConfig()
     rng = rng or random.Random(cfg.seed)
-
-    def verdict_for(u_vals, h_vals, samples) -> GenericRankVerdict:
-        return GenericRankVerdict(
-            target_rank=target,
-            status=RankTestStatus.NONDEGENERATE_EXISTS,
-            witness_u=tuple(Fraction(x) for x in u_vals),
-            witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
-            samples_tried=samples,
-        )
-
     bound = _SAMPLE_BOUND
-    samples = hunted = 0
-
-    def hunt(witness: MinorWitness):
-        """Sample until the minor is nonzero: a point of rank >= its size."""
-        nonlocal bound, samples, hunted
-        while True:
-            for _ in range(_PIT_BUDGET):
-                if cfg.hard_cap is not None and hunted >= cfg.hard_cap:
-                    raise BudgetExhausted(
-                        f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
-                        f"within {cfg.hard_cap} samples"
-                    )
-                u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
-                samples += 1
-                hunted += 1
-                if witness.poly.eval(u_vals + (h_vals or ())):
-                    return u_vals, h_vals
-            bound *= 2
-
-    best = None  # (basis, u_vals, h_vals) of the first sample of highest rank mod p
-    for _ in range(_RETRIES):
-        u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
-        samples += 1
-        rows = matrix(u_vals, h_vals)
-        basis = basis_mod_p(rows)
-        if len(basis[0]) >= target:
-            return verdict_for(u_vals, h_vals, samples)
-        if best is None or len(basis[0]) > len(best[0][0]):
-            best = (basis, u_vals, h_vals)
-    # no sample reaches a target above the matrix's size, so checking here covers it
+    hunted = 0
+    u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+    rows = matrix(u_vals, h_vals)
     if target > min(len(rows), cols):
         raise ValueError(f"target rank {target} out of range for {len(rows)}x{cols}")
-
-    basis, u_vals, h_vals = best
-    symbolic = _symbolic(matrix, u_dim, h_dim)
-    while True:
-        rank = len(basis[0])
-        vanish, witness = all_minors_zero(symbolic, cols, rank + 1, basis=basis)
+    basis = basis_mod_p(rows)
+    symbolic = _symbolic(matrix, u_dim, h_dim) if len(basis[0]) < target else None
+    while len(basis[0]) < target:
+        vanish, witness = all_minors_zero(symbolic, cols, len(basis[0]) + 1, basis=basis)
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,
                 status=RankTestStatus.ALL_DEGENERATE,
                 certificate=BorderingCertificate(*basis, u_vals, h_vals),
-                samples_tried=samples,
+                samples_tried=1 + hunted,
             )
-        # the minor is nonzero at the hunted point: its rank is at least rank + 1
-        u_vals, h_vals = hunt(witness)
-        if rank + 1 >= target:
-            return verdict_for(u_vals, h_vals, samples)
+        # sample until the minor is nonzero, a point of rank at least its
+        # size; the bound doubles after each round of _PIT_BUDGET samples
+        for tries in itertools.count(1):
+            if cfg.hard_cap is not None and hunted >= cfg.hard_cap:
+                raise BudgetExhausted(
+                    f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
+                    f"within {cfg.hard_cap} samples"
+                )
+            u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+            hunted += 1
+            if witness.poly.eval(u_vals + (h_vals or ())):
+                break
+            if tries % _PIT_BUDGET == 0:
+                bound *= 2
         basis = (witness.rows, witness.cols)
+    return GenericRankVerdict(
+        target_rank=target,
+        status=RankTestStatus.NONDEGENERATE_EXISTS,
+        witness_u=tuple(Fraction(x) for x in u_vals),
+        witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
+        samples_tried=1 + hunted,
+    )
 
 
 # -- pointwise checks ------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,51 @@ def test_report_from_dict_rejects_schema_2_and_malformed_certificates(capsys):
     bad = json.loads(out)
     bad["f_test"]["certificate"] = ["rank 1 < 3: minor rows=(0) cols=(0) is nonzero at the sample below"]
     with pytest.raises(ValueError, match="malformed certificate"):
+        cli.report_from_dict(bad)
+
+
+# example45 at seed 0: a witness in the f-test, a bordering certificate in the F-test
+GOLDEN_RECORD = next(
+    json.loads(record["stdout"])
+    for line in (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text().splitlines()
+    if (record := json.loads(line))["input"] == "fixtures/example45.crn" and record["seed"] == 0
+)
+VERDICT_KEYS = ["status", "target_rank", "witness_u", "witness_w", "certificate", "samples_tried"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [(key,) for key in GOLDEN_RECORD]
+    + [("f_test", key) for key in VERDICT_KEYS]
+    + [("F_test", key) for key in VERDICT_KEYS + ["witness_h"]],
+    ids="/".join,
+)
+def test_report_from_dict_rejects_a_missing_key(path):
+    bad = json.loads(json.dumps(GOLDEN_RECORD))
+    parent = bad
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ValueError):
+        cli.report_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda d: d.update(network=[]),
+        lambda d: d.update(notes=3),
+        lambda d: d["cone"].update(witness=1),
+        lambda d: d.update(f_test="nondegenerate_exists"),
+        lambda d: d["F_test"].update(witness_h=5),
+        lambda d: d["f_test"].update(status=["nondegenerate_exists"]),
+    ],
+    ids=["network", "notes", "cone.witness", "f_test", "F_test.witness_h", "f_test.status"],
+)
+def test_report_from_dict_rejects_a_mistyped_value(tamper):
+    bad = json.loads(json.dumps(GOLDEN_RECORD))
+    tamper(bad)
+    with pytest.raises(ValueError):
         cli.report_from_dict(bad)
 
 

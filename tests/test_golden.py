@@ -16,7 +16,8 @@ stoichiometric matrix has an RREF entry that is not an integer, and
 modulus of the rank test, so every sample's rank modulo p falls short
 and each witness is a hunted point.  A change that alters any
 of these bytes must be deliberate: regenerate the file and say why in
-CHANGES.md (a report format change also bumps ``schema_version``).
+CHANGES.md (a report format change also bumps ``schema_version``; a
+change of values only, such as ``samples_tried``, keeps it).
 Every record also round-trips through ``report_from_dict`` byte for byte.
 """
 

@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -236,7 +234,7 @@ def test_analyze_fills_in_the_witness_w():
 
 def test_generic_rank_samples_build_no_polynomials(monkeypatch):
     # samples are evaluated from the integer matrices; MPolys are built only
-    # for a certificate, after every sample falls short
+    # for the bordering minors, after the first sample falls short
     mats = NetworkMatrices.from_network(CALCIUM)
     g = mats.n_mat.kernel_basis()
 
@@ -265,23 +263,23 @@ def test_generic_rank_all_degenerate_with_certificate():
     assert isinstance(cert, BorderingCertificate)
     assert (len(cert.rows), len(cert.cols), verdict.target_rank) == (1, 1, 3)
     assert len(cert.sample_u) == 1 and cert.sample_h is None
-    assert verdict.samples_tried == 5
+    assert verdict.samples_tried == 1
 
 
 def test_generic_rank_minor_hunt_path():
-    # single entry u1 + u2: vanishes at the five scripted first samples, then
-    # the minor scan finds it nonzero and the hunt locates a witness
+    # single entry u1 + u2: vanishes at the scripted first sample, then the
+    # minor scan finds it nonzero and the hunt locates a witness
     matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
-    rng = ScriptedRng([1, -1] * 5 + [2, 3])
+    rng = ScriptedRng([1, -1, 2, 3])
     verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=0), u_dim=2, cols=1, rng=rng)
     assert verdict.nondegenerate
-    assert verdict.samples_tried == 6
+    assert verdict.samples_tried == 2
     assert verdict.witness_u == (2, 3)
 
 
 def test_generic_rank_bordering_grows_then_hunts(monkeypatch):
-    # every scripted sample lands below the generic rank 3: (2,1,1), drawn
-    # five times, has rank 1, so the bordering 2x2 minor (u1-1)(u2-1) is
+    # every scripted sample lands below the generic rank 3: the first sample
+    # (2,1,1) has rank 1, so the bordering 2x2 minor (u1-1)(u2-1) is
     # hunted, skipping (1,1,1) where it vanishes; (2,2,1) has rank 2, and the
     # bordering 3x3 minor is hunted to (3,3,3)
     rounds = []
@@ -290,50 +288,50 @@ def test_generic_rank_bordering_grows_then_hunts(monkeypatch):
         nondegen, "all_minors_zero", lambda *args, **kw: rounds.append(args) or real_all_minors_zero(*args, **kw)
     )
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]])
-    rng = ScriptedRng([2, 1, 1] * 5 + [1, 1, 1, 2, 2, 1, 3, 3, 3])
+    rng = ScriptedRng([2, 1, 1, 1, 1, 1, 2, 2, 1, 3, 3, 3])
     verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=3, cols=3, rng=rng)
     assert verdict.nondegenerate
     assert verdict.witness_u == (3, 3, 3)
-    assert verdict.samples_tried == 8
+    assert verdict.samples_tried == 4
     # each round's minor is the next basis: target - rho = 2 rounds
     assert [k for _, _, k in rounds] == [2, 3]
 
 
 def test_generic_rank_bordering_grows_then_certifies():
-    # generic rank 2 < 3; the sample (2,1), drawn five times, has rank 1, so
-    # the loop grows the basis at the hunted point (2,2) and certifies from there
+    # generic rank 2 < 3; the first sample (2,1) has rank 1, so the loop
+    # grows the basis at the hunted point (2,2) and certifies from there
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
-    rng = ScriptedRng([2, 1] * 5 + [2, 2])
+    rng = ScriptedRng([2, 1, 2, 2])
     verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=rng)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
-    assert verdict.samples_tried == 6
+    assert verdict.samples_tried == 2
     assert verdict.certificate == BorderingCertificate((0, 1), (0, 1), (2, 2), None)
 
 
 def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
-    # the case above: the first basis comes from the samples' passes modulo
-    # p and the next from the hunted minor, so nothing is row-reduced over Q
+    # the case above: the first basis comes from the first sample's pass
+    # modulo p and the next from the hunted minor, so nothing is row-reduced
+    # over Q
     eliminated = []
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 1] * 5 + [2, 2])
+        matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 1, 2, 2])
     )
-    assert verdict.status is RankTestStatus.ALL_DEGENERATE
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 2
     assert eliminated == []
 
 
 def test_generic_rank_certificate_from_equal_samples_eliminates_once(monkeypatch):
-    # five samples of the same rank mod p: the certificate is built from the
-    # first one's basis mod p, and its closing proves no later one ranks
-    # higher; at most one elimination over Q was once needed, now none is
+    # a first sample whose rank mod p is the generic rank: the certificate
+    # is its basis mod p, with no hunt and no elimination over Q
     eliminated = []
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 2]))
-    assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 5
+    assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 1
     assert verdict.certificate == BorderingCertificate((0, 1), (0, 1), (2, 2), None)
     assert eliminated == []
 
@@ -435,12 +433,12 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
 
 def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
     # every entry is a multiple of p, so the rank mod p is 0 < 1 = the exact
-    # rank: the five samples fall short, and the hunted 1 x 1 minor is the
-    # sixth sample
+    # rank: the first sample falls short, and the hunted 1 x 1 minor is the
+    # second sample
     verdict = generic_rank_test(
         lambda u, h: dict_rows([[MODULUS * u[0]]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
     )
-    assert verdict.nondegenerate and verdict.samples_tried == 6
+    assert verdict.nondegenerate and verdict.samples_tried == 2
     # a row over p is scaled by p first, so its rank mod p is 1
     verdict = generic_rank_test(
         lambda u, h: dict_rows([[Fraction(u[0], MODULUS)]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
@@ -451,9 +449,9 @@ def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
 def test_modular_shortcut_needs_the_full_rank_target():
     # rank 2 everywhere, rank 1 modulo p: the rank mod p proves a target of 1
     # at the first sample; a target of 2 needs the hunted bordering minor,
-    # the sixth sample.  Either way the witness's exact rank is 2
+    # the second sample.  Either way the witness's exact rank is 2
     dense = lambda u: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
-    for target, samples in ((1, 1), (2, 6)):
+    for target, samples in ((1, 1), (2, 2)):
         verdict = generic_rank_test(
             lambda u, h: dict_rows(dense(u)), target, SamplerConfig(seed=2), u_dim=2, cols=3
         )
@@ -680,13 +678,3 @@ def test_analyze_verdict_implication_random():
         if report.F_verdict.nondegenerate:
             assert report.f_verdict.nondegenerate
 
-
-def test_bench_retry_count_is_the_samplers(monkeypatch):
-    # bench/run.py keeps its own copy of the retry count to tell first-round
-    # hits from hunts in the reports it reads
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    assert run.RETRIES == nondegen._RETRIES
