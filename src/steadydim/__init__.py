@@ -7,7 +7,7 @@ randomized-plus-symbolic generic-rank tests on the two parametric
 Jacobians.  Everything is computed in exact rational arithmetic.
 """
 
-from .cone import ConeResult, ConeStatus
+from .cone import ConeResult
 from .netmodel import (
     Complex,
     NetworkMatrices,
@@ -43,7 +43,6 @@ __all__ = [
     "ClassesConclusion",
     "Complex",
     "ConeResult",
-    "ConeStatus",
     "DimensionMismatch",
     "GenericRankVerdict",
     "ImpliedByF",

@@ -24,14 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cone import ConeResult, ConeStatus
+from .cone import ConeResult
 from .netmodel import NetworkMatrices, ParseError, ReactionNetwork, parse_network
 from .nondegen import (
     CERTIFICATES,
     AnalysisReport,
     ClassesConclusion,
     GenericRankVerdict,
-    RankTestStatus,
     SamplerConfig,
     SteadyStateCheck,
     VarietyConclusion,
@@ -59,6 +58,17 @@ def _parse_frac_list(vec) -> Optional[tuple[Fraction, ...]]:
     return None if vec is None else tuple(Fraction(x) for x in vec)
 
 
+def _int(x) -> int:
+    if type(x) is not int:  # a bool, a float or a string is not an int in JSON
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _ints(v):
+    """An int, a list of ints as a tuple, or None; ValueError for anything else."""
+    return v if v is None else tuple(map(_int, v)) if isinstance(v, list) else _int(v)
+
+
 def network_to_dict(net: ReactionNetwork, dims: tuple[int, int, int, int]) -> dict:
     n, r, s, d = dims
     return {
@@ -79,10 +89,10 @@ def _certificate_to_dict(c) -> Optional[dict]:
 def _certificate_from_dict(d: Optional[dict]):
     if d is None:
         return None
-    try:  # not an object, an unknown kind, or fields not of its kind
-        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "kind"}
+    try:  # not an object, an unknown kind, fields not of its kind, or not integers
+        fields = {k: _ints(v) for k, v in d.items() if k != "kind"}
         return CERTIFICATES[d.get("kind")](**fields)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate {d!r}") from exc
 
 
@@ -100,16 +110,19 @@ def _verdict_to_dict(v: GenericRankVerdict, include_h: bool) -> dict:
     return out
 
 
-def _verdict_from_dict(d: dict, include_h: bool) -> GenericRankVerdict:
-    return GenericRankVerdict(
-        target_rank=d["target_rank"],
-        status=RankTestStatus(d["status"]),
+def _verdict_from_dict(d: dict, target: int) -> GenericRankVerdict:
+    # the status follows from the certificate and the target is s or n: the write-back checks both
+    v = GenericRankVerdict(
+        target_rank=target,
         witness_u=_parse_frac_list(d["witness_u"]),
-        witness_h=_parse_frac_list(d["witness_h"]) if include_h else None,
+        witness_h=_parse_frac_list(d.get("witness_h")),
         witness_w=_parse_frac_list(d["witness_w"]),
         certificate=_certificate_from_dict(d["certificate"]),
-        samples_tried=d["samples_tried"],
+        samples_tried=_int(d["samples_tried"]),
     )
+    if (v.certificate is None) == (v.witness_u is None):
+        raise ValueError("a verdict holds either a witness or a certificate")
+    return v
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -131,33 +144,35 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    """The report that ``report_to_dict`` wrote; ValueError for another
-    schema version, a missing key, or a value of a type it cannot read."""
+    """The report that ``report_to_dict`` wrote, rebuilt from the fields that
+    decide it (the reactions, else n and r; s; the cone witness; each
+    verdict's witnesses, certificate and sample count) and written back:
+    ValueError unless that gives ``d`` exactly, once both go through JSON.
+    So a status, conclusion, note, ``cone.exists`` or d that contradicts
+    the proofs is rejected, as are a non-canonical rational such as "6/2",
+    an extra or missing key, another schema version and a non-int scalar.
+    """
     try:
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
         netinfo = d["network"]
+        n, r, s = (_int(netinfo[key]) for key in "nrs")
         network = None
         if netinfo["reactions"] is not None:
             network = parse_network("\n".join(netinfo["reactions"]))
-            if list(network.species) != netinfo["species"]:
-                raise ValueError("species list does not match reactions")
-        cone = ConeResult(
-            status=ConeStatus.POSITIVE_VECTOR_EXISTS if d["cone"]["exists"] else ConeStatus.EMPTY,
-            witness=_parse_frac_list(d["cone"]["witness"]),
+            n, r = len(network.species), len(network.reactions)
+        report = AnalysisReport(
+            network,
+            (n, r, s, n - s),
+            ConeResult(_parse_frac_list(d["cone"]["witness"])),
+            _verdict_from_dict(d["f_test"], s),
+            _verdict_from_dict(d["F_test"], n),
         )
-        return AnalysisReport(
-            network=network,
-            dims=(netinfo["n"], netinfo["r"], netinfo["s"], netinfo["d"]),
-            cone=cone,
-            f_verdict=_verdict_from_dict(d["f_test"], include_h=False),
-            F_verdict=_verdict_from_dict(d["F_test"], include_h=True),
-            conclusion_f=VarietyConclusion(d["conclusions"]["steady_state_variety"]),
-            conclusion_F=ClassesConclusion(d["conclusions"]["compatibility_classes"]),
-            notes=tuple(d["notes"]),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
+        if json.dumps(report_to_dict(report), sort_keys=True) != json.dumps(d, sort_keys=True):
+            raise ValueError("report contradicts its proofs, or is not as report_to_dict writes it")
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed report: {exc!r}") from exc
+    return report
 
 
 def _int_matrix(m: RatMatrix) -> list[list[int]]:

@@ -30,26 +30,21 @@ returned; no infeasibility certificate is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import gcd, lcm
 from typing import Optional
 
 from .ratmat import Rational, RatMatrix, _integral, divide_content, quotient, rational, row_update
 
 
-class ConeStatus(str, Enum):
-    POSITIVE_VECTOR_EXISTS = "positive_vector_exists"
-    EMPTY = "empty"
-
-
 @dataclass(frozen=True)
 class ConeResult:
-    status: ConeStatus
+    """The witness, None when the cone is empty: ``exists`` reads it."""
+
     witness: Optional[tuple[Rational, ...]]
 
     @property
     def exists(self) -> bool:
-        return self.status is ConeStatus.POSITIVE_VECTOR_EXISTS
+        return self.witness is not None
 
 
 def _phase_one_simplex(a_rows: list[dict[int, Rational]], rhs: list[Rational], nvars: int):
@@ -146,9 +141,9 @@ def positive_kernel_vector(n_mat: RatMatrix) -> ConeResult:
     rhs = [-sum(row.values()) for row in a_rows]
     feasible, v = _phase_one_simplex(a_rows, rhs, r)
     if not feasible:
-        return ConeResult(ConeStatus.EMPTY, None)
+        return ConeResult(None)
     w = tuple(rational(x + 1) for x in v)
     residual = n_mat.mul_vec(w)
     if any(residual) or min(w) < 1:
         raise RuntimeError("simplex produced an invalid cone witness")
-    return ConeResult(ConeStatus.POSITIVE_VECTOR_EXISTS, w)
+    return ConeResult(w)

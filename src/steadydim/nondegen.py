@@ -33,7 +33,7 @@ Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
 versus generically empty/higher-dimensional, and generic finiteness of
 steady states per compatibility class versus generically none/infinitely
-many.
+many.  A report stores the cone and the verdicts and computes the rest.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
 
-from .cone import ConeResult, ConeStatus, positive_kernel_vector
+from .cone import ConeResult, positive_kernel_vector
 from .mpoly import MPoly, all_minors_zero
 from .netmodel import NetworkMatrices, ReactionNetwork
 from .ratmat import RatMatrix, basis_mod_p
@@ -121,10 +121,9 @@ CERTIFICATES = {c.kind: c for c in (BorderingCertificate, ImpliedByF)}
 
 @dataclass(frozen=True)
 class GenericRankVerdict:
-    """A witness (nondegenerate_exists) or a certificate (all_degenerate)."""
+    """A witness (nondegenerate_exists) or a certificate (all_degenerate); ``status`` reads which."""
 
     target_rank: int
-    status: RankTestStatus
     samples_tried: int
     witness_u: Optional[tuple[Fraction, ...]] = None
     witness_h: Optional[tuple[Fraction, ...]] = None
@@ -133,7 +132,11 @@ class GenericRankVerdict:
 
     @property
     def nondegenerate(self) -> bool:
-        return self.status is RankTestStatus.NONDEGENERATE_EXISTS
+        return self.certificate is None
+
+    @property
+    def status(self) -> RankTestStatus:
+        return RankTestStatus.NONDEGENERATE_EXISTS if self.nondegenerate else RankTestStatus.ALL_DEGENERATE
 
 
 @dataclass(frozen=True)
@@ -160,14 +163,48 @@ class ClassesConclusion(str, Enum):
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The cone and the two rank verdicts of a network.  The conclusions and
+    notes follow from them (and from s = 0), so they are computed, not stored:
+    the generic dimension is the expected one exactly when a nondegenerate
+    solution exists, and over the positive reals when the cone is nonempty.
+    An empty cone admits no positive steady states for any rate constants."""
+
     network: Optional[ReactionNetwork]
     dims: tuple[int, int, int, int]  # (n, r, s, d)
     cone: ConeResult
     f_verdict: GenericRankVerdict
     F_verdict: GenericRankVerdict
-    conclusion_f: VarietyConclusion
-    conclusion_F: ClassesConclusion
-    notes: tuple[str, ...]
+
+    @property
+    def conclusion_f(self) -> VarietyConclusion:
+        if not self.cone.exists:
+            return VarietyConclusion.NO_POSITIVE_STEADY_STATES
+        if self.f_verdict.nondegenerate:
+            return VarietyConclusion.GENERIC_DIMENSION_N_MINUS_S
+        return VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
+
+    @property
+    def conclusion_F(self) -> ClassesConclusion:
+        if not self.cone.exists:
+            return ClassesConclusion.NO_POSITIVE_STEADY_STATES
+        if self.F_verdict.nondegenerate:
+            return ClassesConclusion.GENERICALLY_FINITE
+        return ClassesConclusion.GENERICALLY_EMPTY_OR_INFINITE
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        notes = []
+        if not self.cone.exists:
+            notes.append(
+                "positive kernel cone is empty: no rate constants admit positive "
+                "steady states; rank verdicts describe the complex-torus systems only"
+            )
+        if self.dims[2] == 0:
+            notes.append(
+                "stoichiometric matrix has rank 0: the steady-state system is empty, "
+                "every positive point is a steady state (variety dimension n)"
+            )
+        return tuple(notes)
 
 
 # -- the Jacobian ----------------------------------------------------------
@@ -196,23 +233,21 @@ def jacobian(mats: NetworkMatrices, w: Sequence, h: Optional[Sequence] = None) -
     return [{j: x * h[j] for j, x in row.items() if x} for row in rows]
 
 
-def _kernel_combination(mats: NetworkMatrices, g: RatMatrix):
-    """u -> G u; G is a primitive integer basis, so G u is integral at integer u."""
-    if g.rows != mats.r:
-        raise DimensionMismatch(f"kernel basis has {g.rows} rows, expected {mats.r}")
-    g_rows = [list(g.entries(k).items()) for k in range(g.rows)]
+def _kernel_combination(mats: NetworkMatrices):
+    """u -> G u for G = ``mats.g``, a primitive integer basis: G u is integral at integer u."""
+    g_rows = [list(mats.g.entries(k).items()) for k in range(mats.r)]
     return lambda u: [sum(x * u[t] for t, x in row) for row in g_rows]
 
 
-def f_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
-    """N diag(Gu) B^T as a function of (u, h); ``g`` is a kernel basis of N."""
-    combine = _kernel_combination(mats, g)
+def f_test_matrix(mats: NetworkMatrices) -> MatrixFn:
+    """N diag(Gu) B^T as a function of (u, h), G = ``mats.g``."""
+    combine = _kernel_combination(mats)
     return lambda u, h: jacobian(mats, combine(u))
 
 
-def F_test_matrix(mats: NetworkMatrices, g: RatMatrix) -> MatrixFn:
-    """[N diag(Gu) B^T diag(h); W] as a function of (u, h)."""
-    combine = _kernel_combination(mats, g)
+def F_test_matrix(mats: NetworkMatrices) -> MatrixFn:
+    """[N diag(Gu) B^T diag(h); W] as a function of (u, h), G = ``mats.g``."""
+    combine = _kernel_combination(mats)
     w_rows = [mats.w_mat.entries(i) for i in range(mats.w_mat.rows)]
     return lambda u, h: jacobian(mats, combine(u), h) + w_rows
 
@@ -233,14 +268,14 @@ def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int]) -> list[dict[i
     ]
 
 
-def symbolic_jacobian_f(mats: NetworkMatrices, g: RatMatrix) -> list[dict[int, MPoly]]:
+def symbolic_jacobian_f(mats: NetworkMatrices) -> list[dict[int, MPoly]]:
     """The s x n matrix N diag(Gu) B^T, entries linear in u, one dict per row."""
-    return _symbolic(f_test_matrix(mats, g), g.cols, None)
+    return _symbolic(f_test_matrix(mats), mats.g.cols, None)
 
 
-def symbolic_jacobian_F(mats: NetworkMatrices, g: RatMatrix) -> list[dict[int, MPoly]]:
+def symbolic_jacobian_F(mats: NetworkMatrices) -> list[dict[int, MPoly]]:
     """The n x n matrix [N diag(Gu) B^T diag(h); W], one dict per row."""
-    return _symbolic(F_test_matrix(mats, g), g.cols, mats.n)
+    return _symbolic(F_test_matrix(mats), mats.g.cols, mats.n)
 
 
 # -- randomized rank test -------------------------------------------------
@@ -315,7 +350,6 @@ def generic_rank_test(
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,
-                status=RankTestStatus.ALL_DEGENERATE,
                 certificate=BorderingCertificate(*basis, u_vals, h_vals),
                 samples_tried=1 + hunted,
             )
@@ -336,7 +370,6 @@ def generic_rank_test(
         basis = (witness.rows, witness.cols)
     return GenericRankVerdict(
         target_rank=target,
-        status=RankTestStatus.NONDEGENERATE_EXISTS,
         witness_u=tuple(Fraction(x) for x in u_vals),
         witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
         samples_tried=1 + hunted,
@@ -409,12 +442,10 @@ def analyze_matrices(
     cfg: SamplerConfig | None = None,
     network: Optional[ReactionNetwork] = None,
 ) -> AnalysisReport:
-    """Cone feasibility plus both generic-rank tests, with conclusions.
+    """Cone feasibility plus both generic-rank tests; the report computes
+    the conclusions and notes from them.
 
-    When the positive kernel cone is empty no rate vector admits positive
-    steady states and both conclusions say so; the rank tests still run
-    and are reported as information about the complex-torus systems.
-
+    The rank tests run whether or not the positive kernel cone is empty.
     When the f-test is AllDegenerate the F-test is not run: the top block
     of the F matrix has the f matrix's rank and W adds at most d, so
     rank F <= rank f + d < s + d = n.  Its certificate is ``ImpliedByF(d)``
@@ -424,9 +455,8 @@ def analyze_matrices(
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
-    g = mats.g
     u_dim = mats.r - mats.s
-    combine = _kernel_combination(mats, g)
+    combine = _kernel_combination(mats)
 
     def rank_test(matrix: MatrixFn, target: int, label: str, h_dim=None) -> GenericRankVerdict:
         rng = random.Random(derive_seed(cfg.seed, label))
@@ -436,49 +466,9 @@ def analyze_matrices(
         w = combine([int(x) for x in verdict.witness_u])
         return replace(verdict, witness_w=tuple(Fraction(x) for x in w))
 
-    f_verdict = rank_test(f_test_matrix(mats, g), mats.s, "f-test")
+    f_verdict = rank_test(f_test_matrix(mats), mats.s, "f-test")
     if f_verdict.nondegenerate:
-        F_verdict = rank_test(F_test_matrix(mats, g), mats.n, "F-test", mats.n)
+        F_verdict = rank_test(F_test_matrix(mats), mats.n, "F-test", mats.n)
     else:
-        F_verdict = GenericRankVerdict(
-            target_rank=mats.n,
-            status=RankTestStatus.ALL_DEGENERATE,
-            certificate=ImpliedByF(mats.d),
-            samples_tried=0,
-        )
-
-    notes: list[str] = []
-    if cone.status is ConeStatus.EMPTY:
-        conclusion_f = VarietyConclusion.NO_POSITIVE_STEADY_STATES
-        conclusion_F = ClassesConclusion.NO_POSITIVE_STEADY_STATES
-        notes.append(
-            "positive kernel cone is empty: no rate constants admit positive "
-            "steady states; rank verdicts describe the complex-torus systems only"
-        )
-    else:
-        conclusion_f = (
-            VarietyConclusion.GENERIC_DIMENSION_N_MINUS_S
-            if f_verdict.nondegenerate
-            else VarietyConclusion.EMPTY_OR_HIGHER_DIMENSIONAL
-        )
-        conclusion_F = (
-            ClassesConclusion.GENERICALLY_FINITE
-            if F_verdict.nondegenerate
-            else ClassesConclusion.GENERICALLY_EMPTY_OR_INFINITE
-        )
-    if mats.s == 0:
-        notes.append(
-            "stoichiometric matrix has rank 0: the steady-state system is empty, "
-            "every positive point is a steady state (variety dimension n)"
-        )
-
-    return AnalysisReport(
-        network=network,
-        dims=(mats.n, mats.r, mats.s, mats.d),
-        cone=cone,
-        f_verdict=f_verdict,
-        F_verdict=F_verdict,
-        conclusion_f=conclusion_f,
-        conclusion_F=conclusion_F,
-        notes=tuple(notes),
-    )
+        F_verdict = GenericRankVerdict(target_rank=mats.n, certificate=ImpliedByF(mats.d), samples_tried=0)
+    return AnalysisReport(network, (mats.n, mats.r, mats.s, mats.d), cone, f_verdict, F_verdict)

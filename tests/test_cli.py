@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from steadydim import cli
 from steadydim.netmodel import NetworkMatrices, parse_network
-from steadydim.nondegen import SamplerConfig, analyze
+from steadydim.nondegen import ClassesConclusion, RankTestStatus, SamplerConfig, VarietyConclusion, analyze
 
 from conftest import CALCIUM_B, CALCIUM_GAMMA, fixture_path, random_network
 
@@ -128,13 +128,42 @@ def test_analyze_json_round_trip(capsys):
     assert report == direct
 
 
+def _other(value, enum):
+    return next(v.value for v in enum if v.value != value)
+
+
+# each flips one field that follows from the cone and the verdicts
+CONTRADICTIONS = [
+    lambda d: d["conclusions"].update(
+        steady_state_variety=_other(d["conclusions"]["steady_state_variety"], VarietyConclusion)
+    ),
+    lambda d: d["conclusions"].update(
+        compatibility_classes=_other(d["conclusions"]["compatibility_classes"], ClassesConclusion)
+    ),
+    lambda d: d["f_test"].update(status=_other(d["f_test"]["status"], RankTestStatus)),
+    lambda d: d["F_test"].update(status=_other(d["F_test"]["status"], RankTestStatus)),
+    lambda d: d["cone"].update(exists=not d["cone"]["exists"]),
+    lambda d: d["notes"].append("rank verdicts describe the complex-torus systems only"),
+    lambda d: d["notes"].pop(),
+]
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.integers(0, 2**32), st.integers(0, 99))
 def test_report_round_trips_through_json(net_seed, seed):
     # about half of these networks are all_degenerate, with a bordering f
     # certificate and an implied_by_f one; the golden records add bordering F
     report = analyze(random_network(random.Random(net_seed)), SamplerConfig(seed=seed))
-    assert cli.report_from_dict(json.loads(json.dumps(cli.report_to_dict(report)))) == report
+    written = json.dumps(cli.report_to_dict(report))
+    assert cli.report_from_dict(json.loads(written)) == report
+    # a report that contradicts its proofs is rejected
+    for contradict in CONTRADICTIONS:
+        bad = json.loads(written)
+        if contradict is CONTRADICTIONS[-1] and not bad["notes"]:
+            continue
+        contradict(bad)
+        with pytest.raises(ValueError):
+            cli.report_from_dict(bad)
 
 
 def test_report_from_dict_rejects_schema_2_and_malformed_certificates(capsys):
@@ -200,10 +229,49 @@ def test_report_from_dict_rejects_a_missing_key(path):
         lambda d: d.update(f_test="nondegenerate_exists"),
         lambda d: d["F_test"].update(witness_h=5),
         lambda d: d["f_test"].update(status=["nondegenerate_exists"]),
+        lambda d: d["f_test"].update(samples_tried="x"),
+        lambda d: d["f_test"].update(samples_tried=True),
+        lambda d: d["network"].update(n="4"),
+        lambda d: d["network"].update(species=None, reactions=None, n="4"),
+        lambda d: d["network"].update(d=99),
+        lambda d: d["cone"].update(exists="no"),
+        lambda d: d["F_test"]["certificate"].update(sample_h=["1"] * 4),
     ],
-    ids=["network", "notes", "cone.witness", "f_test", "F_test.witness_h", "f_test.status"],
+    ids=[
+        "network",
+        "notes",
+        "cone.witness",
+        "f_test",
+        "F_test.witness_h",
+        "f_test.status",
+        "samples_tried.str",
+        "samples_tried.bool",
+        "network.n",
+        "network.n_without_reactions",
+        "network.d",
+        "cone.exists",
+        "certificate.sample_h",
+    ],
 )
 def test_report_from_dict_rejects_a_mistyped_value(tamper):
+    bad = json.loads(json.dumps(GOLDEN_RECORD))
+    tamper(bad)
+    with pytest.raises(ValueError):
+        cli.report_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda d: d["f_test"].update(status="all_degenerate"),
+        lambda d: d["f_test"].update(witness_u=None, witness_w=None),
+        lambda d: d["f_test"].update(witness_u=[f"{2 * int(x)}/2" for x in d["f_test"]["witness_u"]]),
+        lambda d: d["cone"].update(proof=None),
+    ],
+    ids=["status_without_certificate", "neither_witness_nor_certificate", "non_canonical_rational", "extra_key"],
+)
+def test_report_from_dict_rejects_what_report_to_dict_would_not_write(tamper):
+    # GOLDEN_RECORD's f_test has a witness and certificate null
     bad = json.loads(json.dumps(GOLDEN_RECORD))
     tamper(bad)
     with pytest.raises(ValueError):
