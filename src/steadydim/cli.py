@@ -27,8 +27,8 @@ from typing import Optional
 from .cone import ConeResult
 from .netmodel import NetworkMatrices, ParseError, ReactionNetwork, parse_network
 from .nondegen import (
-    CERTIFICATES,
     AnalysisReport,
+    BorderingCertificate,
     ClassesConclusion,
     GenericRankVerdict,
     SamplerConfig,
@@ -37,8 +37,9 @@ from .nondegen import (
     analyze,
     check_steady_state,
     derive_seed,
+    implied_F_verdict,
 )
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, rational
 
 SCHEMA_VERSION = 3
 
@@ -54,8 +55,8 @@ def _frac_list(vec) -> Optional[list[str]]:
     return None if vec is None else [str(x) for x in vec]
 
 
-def _parse_frac_list(vec) -> Optional[tuple[Fraction, ...]]:
-    return None if vec is None else tuple(Fraction(x) for x in vec)
+def _parse_frac_list(vec):
+    return None if vec is None else tuple(map(rational, vec))
 
 
 def _int(x) -> int:
@@ -69,13 +70,9 @@ def _ints(v):
     return v if v is None else tuple(map(_int, v)) if isinstance(v, list) else _int(v)
 
 
-def network_to_dict(net: ReactionNetwork, dims: tuple[int, int, int, int]) -> dict:
-    n, r, s, d = dims
+def network_to_dict(net: ReactionNetwork, mats: NetworkMatrices) -> dict:
     return {
-        "n": n,
-        "r": r,
-        "s": s,
-        "d": d,
+        **{key: getattr(mats, key) for key in "nrsd"},
         "species": list(net.species) if net is not None else None,
         "reactions": [rx.render(net.species) for rx in net.reactions] if net is not None else None,
     }
@@ -86,37 +83,33 @@ def _certificate_to_dict(c) -> Optional[dict]:
     return None if c is None else {"kind": c.kind, **vars(c)}
 
 
-def _certificate_from_dict(d: Optional[dict]):
+def _certificate_from_dict(d: Optional[dict]) -> Optional[BorderingCertificate]:
     if d is None:
         return None
-    try:  # not an object, an unknown kind, fields not of its kind, or not integers
-        fields = {k: _ints(v) for k, v in d.items() if k != "kind"}
-        return CERTIFICATES[d.get("kind")](**fields)
+    try:  # not an object, not bordering (implied_by_f is rebuilt, never read), other fields, not ints
+        if d.get("kind") != BorderingCertificate.kind:
+            raise ValueError("not a bordering certificate")
+        return BorderingCertificate(**{k: _ints(v) for k, v in d.items() if k != "kind"})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate {d!r}") from exc
 
 
-def _verdict_to_dict(v: GenericRankVerdict, include_h: bool) -> dict:
-    out = {
-        "status": v.status.value,
-        "target_rank": v.target_rank,
-        "witness_u": _frac_list(v.witness_u),
-    }
+def _verdict_to_dict(report: AnalysisReport, v: GenericRankVerdict, include_h: bool) -> dict:
+    out = {"status": v.status.value, "target_rank": v.target_rank, "witness_u": _frac_list(v.witness_u)}
     if include_h:
         out["witness_h"] = _frac_list(v.witness_h)
-    out["witness_w"] = _frac_list(v.witness_w)
+    out["witness_w"] = _frac_list(report.witness_w(v))
     out["certificate"] = _certificate_to_dict(v.certificate)
     out["samples_tried"] = v.samples_tried
     return out
 
 
 def _verdict_from_dict(d: dict, target: int) -> GenericRankVerdict:
-    # the status follows from the certificate and the target is s or n: the write-back checks both
+    # the status, the target (s or n) and w = G u are derived: the write-back checks them
     v = GenericRankVerdict(
         target_rank=target,
         witness_u=_parse_frac_list(d["witness_u"]),
         witness_h=_parse_frac_list(d.get("witness_h")),
-        witness_w=_parse_frac_list(d["witness_w"]),
         certificate=_certificate_from_dict(d["certificate"]),
         samples_tried=_int(d["samples_tried"]),
     )
@@ -128,13 +121,13 @@ def _verdict_from_dict(d: dict, target: int) -> GenericRankVerdict:
 def report_to_dict(report: AnalysisReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "network": network_to_dict(report.network, report.dims),
+        "network": network_to_dict(report.network, report.mats),
         "cone": {
             "exists": report.cone.exists,
             "witness": _frac_list(report.cone.witness),
         },
-        "f_test": _verdict_to_dict(report.f_verdict, include_h=False),
-        "F_test": _verdict_to_dict(report.F_verdict, include_h=True),
+        "f_test": _verdict_to_dict(report, report.f_verdict, include_h=False),
+        "F_test": _verdict_to_dict(report, report.F_verdict, include_h=True),
         "conclusions": {
             "steady_state_variety": report.conclusion_f.value,
             "compatibility_classes": report.conclusion_F.value,
@@ -145,29 +138,26 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def report_from_dict(d: dict) -> AnalysisReport:
     """The report that ``report_to_dict`` wrote, rebuilt from the fields that
-    decide it (the reactions, else n and r; s; the cone witness; each
-    verdict's witnesses, certificate and sample count) and written back:
-    ValueError unless that gives ``d`` exactly, once both go through JSON.
-    So a status, conclusion, note, ``cone.exists`` or d that contradicts
-    the proofs is rejected, as are a non-canonical rational such as "6/2",
-    an extra or missing key, another schema version and a non-int scalar.
+    decide it (the reactions, which give the matrices; the cone witness;
+    each sampled verdict's witnesses, certificate and sample count) and
+    written back: ValueError unless that gives ``d`` exactly, once both go
+    through JSON.  So anything that contradicts the reactions or the proofs
+    is rejected (n, r, s, d, a target rank or ``witness_w``; a status,
+    conclusion, note or ``cone.exists``; an ``F_test`` after an
+    all-degenerate f-test), as are a non-canonical rational such as "6/2",
+    an extra or missing key, another schema version, a non-int scalar and
+    a report without reactions.
     """
     try:
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-        netinfo = d["network"]
-        n, r, s = (_int(netinfo[key]) for key in "nrs")
-        network = None
-        if netinfo["reactions"] is not None:
-            network = parse_network("\n".join(netinfo["reactions"]))
-            n, r = len(network.species), len(network.reactions)
-        report = AnalysisReport(
-            network,
-            (n, r, s, n - s),
-            ConeResult(_parse_frac_list(d["cone"]["witness"])),
-            _verdict_from_dict(d["f_test"], s),
-            _verdict_from_dict(d["F_test"], n),
-        )
+        if d["network"]["reactions"] is None:
+            raise ValueError("a report without reactions cannot be read: nothing derives its matrices")
+        network = parse_network("\n".join(d["network"]["reactions"]))
+        mats = NetworkMatrices.from_network(network)
+        f = _verdict_from_dict(d["f_test"], mats.s)
+        F = _verdict_from_dict(d["F_test"], mats.n) if f.nondegenerate else implied_F_verdict(mats)
+        report = AnalysisReport(network, mats, ConeResult(_parse_frac_list(d["cone"]["witness"])), f, F)
         if json.dumps(report_to_dict(report), sort_keys=True) != json.dumps(d, sort_keys=True):
             raise ValueError("report contradicts its proofs, or is not as report_to_dict writes it")
     except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -182,7 +172,7 @@ def _int_matrix(m: RatMatrix) -> list[list[int]]:
 def matrices_to_dict(net: ReactionNetwork, mats: NetworkMatrices) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "network": network_to_dict(net, (mats.n, mats.r, mats.s, mats.d)),
+        "network": network_to_dict(net, mats),
         "gamma": _int_matrix(mats.gamma),
         "b": _int_matrix(mats.b),
         "n_mat": _int_matrix(mats.n_mat),
@@ -193,7 +183,7 @@ def matrices_to_dict(net: ReactionNetwork, mats: NetworkMatrices) -> dict:
 def check_to_dict(net: ReactionNetwork, mats: NetworkMatrices, chk: SteadyStateCheck) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "network": network_to_dict(net, (mats.n, mats.r, mats.s, mats.d)),
+        "network": network_to_dict(net, mats),
         "kappa": _frac_list(chk.kappa),
         "x": _frac_list(chk.x),
         "residual_zero": chk.residual_zero,
@@ -226,7 +216,7 @@ def _vec_text(vec) -> str:
     return " ".join(map(str, vec))
 
 
-def _verdict_lines(name: str, v: GenericRankVerdict) -> list[str]:
+def _verdict_lines(report: AnalysisReport, name: str, v: GenericRankVerdict) -> list[str]:
     lines = []
     if v.nondegenerate:
         lines.append(
@@ -236,8 +226,7 @@ def _verdict_lines(name: str, v: GenericRankVerdict) -> list[str]:
         lines.append(f"{name} witness u: {_vec_text(v.witness_u)}")
         if v.witness_h is not None:
             lines.append(f"{name} witness h: {_vec_text(v.witness_h)}")
-        if v.witness_w is not None:
-            lines.append(f"{name} witness w: {_vec_text(v.witness_w)}")
+        lines.append(f"{name} witness w: {_vec_text(report.witness_w(v))}")
     else:
         lines.append(
             f"{name}: all solutions degenerate "
@@ -257,8 +246,8 @@ def render_report_text(report: AnalysisReport) -> str:
         lines.append(f"cone witness: {_vec_text(report.cone.witness)}")
     else:
         lines.append("cone: empty (no strictly positive kernel vector)")
-    lines.extend(_verdict_lines("f_test", report.f_verdict))
-    lines.extend(_verdict_lines("F_test", report.F_verdict))
+    lines.extend(_verdict_lines(report, "f_test", report.f_verdict))
+    lines.extend(_verdict_lines(report, "F_test", report.F_verdict))
     lines.append(f"conclusion_f: {_conclusion_f_text(report.conclusion_f, d)}")
     lines.append(f"conclusion_F: {_conclusion_F_text(report.conclusion_F)}")
     for note in report.notes:

@@ -33,7 +33,7 @@ Combined with feasibility of the positive kernel cone, the two verdicts
 classify the network: generic steady-state variety dimension n - s
 versus generically empty/higher-dimensional, and generic finiteness of
 steady states per compatibility class versus generically none/infinitely
-many.  A report stores the cone and the verdicts and computes the rest.
+many.  A report stores the matrices, the cone and the verdicts.
 """
 
 from __future__ import annotations
@@ -41,15 +41,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .cone import ConeResult, positive_kernel_vector
+# imported by name: bench/tracer.py patches nondegen.all_minors_zero
 from .mpoly import MPoly, all_minors_zero
 from .netmodel import NetworkMatrices, ReactionNetwork
-from .ratmat import RatMatrix, basis_mod_p
+from .ratmat import RatMatrix, Rational, basis_mod_p
 
 _ONE = Fraction(1)
 
@@ -116,18 +117,15 @@ class ImpliedByF:
     d: int
 
 
-CERTIFICATES = {c.kind: c for c in (BorderingCertificate, ImpliedByF)}
-
-
 @dataclass(frozen=True)
 class GenericRankVerdict:
-    """A witness (nondegenerate_exists) or a certificate (all_degenerate); ``status`` reads which."""
+    """A witness (nondegenerate_exists), the sampled u and h as drawn, or a
+    certificate (all_degenerate); ``status`` reads which."""
 
     target_rank: int
     samples_tried: int
-    witness_u: Optional[tuple[Fraction, ...]] = None
-    witness_h: Optional[tuple[Fraction, ...]] = None
-    witness_w: Optional[tuple[Fraction, ...]] = None
+    witness_u: Optional[tuple[Rational, ...]] = None
+    witness_h: Optional[tuple[Rational, ...]] = None
     certificate: BorderingCertificate | ImpliedByF | None = None
 
     @property
@@ -163,17 +161,25 @@ class ClassesConclusion(str, Enum):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """The cone and the two rank verdicts of a network.  The conclusions and
-    notes follow from them (and from s = 0), so they are computed, not stored:
-    the generic dimension is the expected one exactly when a nondegenerate
-    solution exists, and over the positive reals when the cone is nonempty.
-    An empty cone admits no positive steady states for any rate constants."""
+    """A network's matrices, cone and rank verdicts; the rest is computed:
+    n, r, s, d and each witness's w = G u from the matrices, the conclusions
+    and notes from the proofs (and s = 0).  The generic dimension is the
+    expected one exactly when a nondegenerate solution exists, and over the
+    positive reals when the cone is nonempty, which an empty cone rules out."""
 
     network: Optional[ReactionNetwork]
-    dims: tuple[int, int, int, int]  # (n, r, s, d)
+    mats: NetworkMatrices
     cone: ConeResult
     f_verdict: GenericRankVerdict
     F_verdict: GenericRankVerdict
+
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        return self.mats.n, self.mats.r, self.mats.s, self.mats.d
+
+    def witness_w(self, verdict: GenericRankVerdict) -> Optional[tuple[Rational, ...]]:
+        """w = G u at the verdict's witness u, None when it has a certificate."""
+        return self.mats.g.mul_vec(verdict.witness_u) if verdict.nondegenerate else None
 
     @property
     def conclusion_f(self) -> VarietyConclusion:
@@ -199,7 +205,7 @@ class AnalysisReport:
                 "positive kernel cone is empty: no rate constants admit positive "
                 "steady states; rank verdicts describe the complex-torus systems only"
             )
-        if self.dims[2] == 0:
+        if self.mats.s == 0:
             notes.append(
                 "stoichiometric matrix has rank 0: the steady-state system is empty, "
                 "every positive point is a steady state (variety dimension n)"
@@ -268,6 +274,10 @@ def _symbolic(matrix: MatrixFn, u_dim: int, h_dim: Optional[int]) -> list[dict[i
     ]
 
 
+# symbolic_jacobian_f and _F have no caller in src/ (generic_rank_test calls
+# _symbolic); they stay while bench/tracer.py patches them by name, which
+# bench/tests/test_bench_harness.py::test_recorder_restores_every_patched_name
+# requires (ROADMAP item 5).
 def symbolic_jacobian_f(mats: NetworkMatrices) -> list[dict[int, MPoly]]:
     """The s x n matrix N diag(Gu) B^T, entries linear in u, one dict per row."""
     return _symbolic(f_test_matrix(mats), mats.g.cols, None)
@@ -328,10 +338,10 @@ def generic_rank_test(
         target - rho rounds.
 
     ``samples_tried`` is 1 plus the hunted samples, which alone count
-    toward ``hard_cap``.  A witness is a point at which the exact rank of
-    the evaluated matrix is at least ``target``; ``witness_w`` is left
-    None.  A negative target raises ValueError, and so does one above
-    min(rows, cols) once the first sample has shown the matrix's shape.
+    toward ``hard_cap``.  A witness is an integer point at which the exact
+    rank of the evaluated matrix is at least ``target``.  A negative
+    target raises ValueError, and so does one above min(rows, cols) once
+    the first sample has shown the matrix's shape.
     """
     if target < 0:
         raise ValueError(f"negative target rank {target}")
@@ -370,8 +380,8 @@ def generic_rank_test(
         basis = (witness.rows, witness.cols)
     return GenericRankVerdict(
         target_rank=target,
-        witness_u=tuple(Fraction(x) for x in u_vals),
-        witness_h=tuple(Fraction(x) for x in h_vals) if h_vals is not None else None,
+        witness_u=u_vals,
+        witness_h=h_vals,
         samples_tried=1 + hunted,
     )
 
@@ -437,38 +447,36 @@ def analyze(net: ReactionNetwork, cfg: SamplerConfig | None = None) -> AnalysisR
     return analyze_matrices(NetworkMatrices.from_network(net), cfg, network=net)
 
 
+def implied_F_verdict(mats: NetworkMatrices) -> GenericRankVerdict:
+    """The F verdict after an all-degenerate f-test, with no F-test run: the
+    F matrix's top block has the f matrix's rank and W adds at most d, so
+    rank F <= rank f + d < s + d = n."""
+    return GenericRankVerdict(target_rank=mats.n, certificate=ImpliedByF(mats.d), samples_tried=0)
+
+
 def analyze_matrices(
     mats: NetworkMatrices,
     cfg: SamplerConfig | None = None,
     network: Optional[ReactionNetwork] = None,
 ) -> AnalysisReport:
-    """Cone feasibility plus both generic-rank tests; the report computes
-    the conclusions and notes from them.
+    """Cone feasibility plus both generic-rank tests, in a report of
+    ``mats`` that computes the rest from them.
 
     The rank tests run whether or not the positive kernel cone is empty.
-    When the f-test is AllDegenerate the F-test is not run: the top block
-    of the F matrix has the f matrix's rank and W adds at most d, so
-    rank F <= rank f + d < s + d = n.  Its certificate is ``ImpliedByF(d)``
-    and it reports 0 samples.
-
-    A nondegenerate verdict's ``witness_w`` is G u at its integer witness u.
+    After an AllDegenerate f-test the F verdict is ``implied_F_verdict``.
+    Without ``network`` the report cannot be read back by
+    ``cli.report_from_dict``, which derives the matrices from the reactions.
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
-    u_dim = mats.r - mats.s
-    combine = _kernel_combination(mats)
 
     def rank_test(matrix: MatrixFn, target: int, label: str, h_dim=None) -> GenericRankVerdict:
         rng = random.Random(derive_seed(cfg.seed, label))
-        verdict = generic_rank_test(matrix, target, cfg, u_dim=u_dim, h_dim=h_dim, cols=mats.n, rng=rng)
-        if not verdict.nondegenerate:
-            return verdict
-        w = combine([int(x) for x in verdict.witness_u])
-        return replace(verdict, witness_w=tuple(Fraction(x) for x in w))
+        return generic_rank_test(matrix, target, cfg, u_dim=mats.g.cols, h_dim=h_dim, cols=mats.n, rng=rng)
 
     f_verdict = rank_test(f_test_matrix(mats), mats.s, "f-test")
     if f_verdict.nondegenerate:
         F_verdict = rank_test(F_test_matrix(mats), mats.n, "F-test", mats.n)
     else:
-        F_verdict = GenericRankVerdict(target_rank=mats.n, certificate=ImpliedByF(mats.d), samples_tried=0)
-    return AnalysisReport(network, (mats.n, mats.r, mats.s, mats.d), cone, f_verdict, F_verdict)
+        F_verdict = implied_F_verdict(mats)
+    return AnalysisReport(network, mats, cone, f_verdict, F_verdict)

@@ -297,6 +297,8 @@ class RatMatrix:
             object.__setattr__(self, "_echelon", self._back_substitute())
         return self._echelon
 
+    # no caller in src/: kept while bench/tracer.py patches it by name, as
+    # with nondegen.symbolic_jacobian_f
     def rref(self) -> tuple["RatMatrix", tuple[int, ...], int]:
         """Reduced row echelon form: ``(R, pivot_columns, rank)``, with the
         RREF rows first in ``R`` and zero rows after them."""

@@ -194,12 +194,12 @@ def test_report_from_dict_rejects_schema_2_and_malformed_certificates(capsys):
         cli.report_from_dict(bad)
 
 
+GOLDEN_RECORDS = {
+    (record["input"], record["seed"]): json.loads(record["stdout"])
+    for record in map(json.loads, (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text().splitlines())
+}
 # example45 at seed 0: a witness in the f-test, a bordering certificate in the F-test
-GOLDEN_RECORD = next(
-    json.loads(record["stdout"])
-    for line in (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text().splitlines()
-    if (record := json.loads(line))["input"] == "fixtures/example45.crn" and record["seed"] == 0
-)
+GOLDEN_RECORD = GOLDEN_RECORDS["fixtures/example45.crn", 0]
 VERDICT_KEYS = ["status", "target_rank", "witness_u", "witness_w", "certificate", "samples_tried"]
 
 
@@ -260,19 +260,45 @@ def test_report_from_dict_rejects_a_mistyped_value(tamper):
         cli.report_from_dict(bad)
 
 
+def _shift_s(d, by):
+    # s, d and the f-test's target moved together, consistent with each other but not with the reactions
+    d["network"].update(s=d["network"]["s"] + by, d=d["network"]["d"] - by)
+    d["f_test"]["target_rank"] += by
+
+
 @pytest.mark.parametrize(
-    "tamper",
+    "record, tamper",
     [
-        lambda d: d["f_test"].update(status="all_degenerate"),
-        lambda d: d["f_test"].update(witness_u=None, witness_w=None),
-        lambda d: d["f_test"].update(witness_u=[f"{2 * int(x)}/2" for x in d["f_test"]["witness_u"]]),
-        lambda d: d["cone"].update(proof=None),
+        ("example45", lambda d: d["f_test"].update(status="all_degenerate")),
+        ("example45", lambda d: d["f_test"].update(witness_u=None, witness_w=None)),
+        ("example45", lambda d: d["f_test"].update(witness_u=[f"{2 * int(x)}/2" for x in d["f_test"]["witness_u"]])),
+        ("example45", lambda d: d["cone"].update(proof=None)),
+        # w is G u, and implied_by_f follows an all-degenerate f-test with the network's d
+        ("example45", lambda d: d["f_test"].update(witness_w=["7"] * len(d["f_test"]["witness_w"]))),
+        ("example45", lambda d: d["F_test"].update(certificate={"kind": "implied_by_f", "d": 5})),
+        ("example42", lambda d: d["F_test"]["certificate"].update(d=d["F_test"]["certificate"]["d"] + 4)),
+        # s follows from the reactions (calcium has s = 3; at s = 1 the s = 0 note would tell)
+        ("calcium", lambda d: _shift_s(d, 1)),
+        ("calcium", lambda d: _shift_s(d, -1)),
+        # only the reactions give the matrices
+        ("example45", lambda d: d["network"].update(species=None, reactions=None)),
     ],
-    ids=["status_without_certificate", "neither_witness_nor_certificate", "non_canonical_rational", "extra_key"],
+    ids=[
+        "status_without_certificate",
+        "neither_witness_nor_certificate",
+        "non_canonical_rational",
+        "extra_key",
+        "witness_w_not_G_u",
+        "implied_by_f_after_a_witness",
+        "implied_by_f_with_another_d",
+        "s_and_d_plus_1",
+        "s_and_d_minus_1",
+        "without_reactions",
+    ],
 )
-def test_report_from_dict_rejects_what_report_to_dict_would_not_write(tamper):
-    # GOLDEN_RECORD's f_test has a witness and certificate null
-    bad = json.loads(json.dumps(GOLDEN_RECORD))
+def test_report_from_dict_rejects_what_report_to_dict_would_not_write(record, tamper):
+    # at seed 0: example45's f_test has a witness and certificate null, example42's F_test is implied_by_f
+    bad = json.loads(json.dumps(GOLDEN_RECORDS[f"fixtures/{record}.crn", 0]))
     tamper(bad)
     with pytest.raises(ValueError):
         cli.report_from_dict(bad)

@@ -30,7 +30,7 @@ from steadydim.nondegen import (
     symbolic_jacobian_F,
     symbolic_jacobian_f,
 )
-from steadydim import nondegen
+from steadydim import cli, nondegen
 from steadydim.ratmat import MODULUS, RatMatrix
 
 from conftest import (
@@ -215,16 +215,19 @@ def test_generic_rank_quadratic_network():
     verdict = generic_rank_test(f_test_matrix(mats), mats.s, SamplerConfig(seed=3), u_dim=2, cols=mats.n)
     assert verdict.nondegenerate
     assert len(verdict.witness_u) == 2
-    assert verdict.witness_w is None and verdict.witness_h is None
+    assert verdict.witness_h is None
 
 
 def test_analyze_fills_in_the_witness_w():
+    # w is not stored: the writer and the text renderer compute G u from the report's matrices
     mats = NetworkMatrices.from_network(CALCIUM)
     report = analyze_matrices(mats, SamplerConfig(seed=3))
-    for verdict in (report.f_verdict, report.F_verdict):
+    written, text = cli.report_to_dict(report), cli.render_report_text(report)
+    for key, verdict in (("f_test", report.f_verdict), ("F_test", report.F_verdict)):
         assert verdict.nondegenerate
-        assert verdict.witness_w == tuple(mats.g.mul_vec(verdict.witness_u))
-        assert all(type(x) is Fraction for x in verdict.witness_w)
+        w = [str(x) for x in mats.g.mul_vec(verdict.witness_u)]
+        assert written[key]["witness_w"] == w
+        assert f"{key} witness w: {' '.join(w)}" in text.splitlines()
 
 
 def test_generic_rank_samples_build_no_polynomials(monkeypatch):
