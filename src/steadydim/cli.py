@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cone import ConeResult
+from .cone import ConeResult, is_cone_witness
 from .netmodel import NetworkMatrices, ParseError, ReactionNetwork, parse_network
 from .nondegen import (
     AnalysisReport,
@@ -65,9 +65,10 @@ def _int(x) -> int:
     return x
 
 
-def _ints(v):
-    """An int, a list of ints as a tuple, or None; ValueError for anything else."""
-    return v if v is None else tuple(map(_int, v)) if isinstance(v, list) else _int(v)
+def _int_tuple(v) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ValueError(f"{v!r} is not a list of integers")
+    return tuple(map(_int, v))
 
 
 def network_to_dict(net: ReactionNetwork, mats: NetworkMatrices) -> dict:
@@ -86,10 +87,12 @@ def _certificate_to_dict(c) -> Optional[dict]:
 def _certificate_from_dict(d: Optional[dict]) -> Optional[BorderingCertificate]:
     if d is None:
         return None
-    try:  # not an object, not bordering (implied_by_f is rebuilt, never read), other fields, not ints
+    try:  # not an object, not bordering (implied_by_f is rebuilt, never read), other fields, not int lists
         if d.get("kind") != BorderingCertificate.kind:
             raise ValueError("not a bordering certificate")
-        return BorderingCertificate(**{k: _ints(v) for k, v in d.items() if k != "kind"})
+        return BorderingCertificate(  # sample_h may be null: the verdict checks where
+            **{k: None if k == "sample_h" and v is None else _int_tuple(v) for k, v in d.items() if k != "kind"}
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate {d!r}") from exc
 
@@ -104,17 +107,29 @@ def _verdict_to_dict(report: AnalysisReport, v: GenericRankVerdict, include_h: b
     return out
 
 
-def _verdict_from_dict(d: dict, target: int) -> GenericRankVerdict:
+def _verdict_from_dict(d: dict, mats: NetworkMatrices, F_test: bool) -> GenericRankVerdict:
+    """A sampled verdict: its witness, or its certificate's sample, holds r - s
+    values of u and, in the F-test only, n values of h; it counts that sample."""
     # the status, the target (s or n) and w = G u are derived: the write-back checks them
+    h_dim = mats.n if F_test else None
     v = GenericRankVerdict(
-        target_rank=target,
+        target_rank=mats.n if F_test else mats.s,
         witness_u=_parse_frac_list(d["witness_u"]),
         witness_h=_parse_frac_list(d.get("witness_h")),
         certificate=_certificate_from_dict(d["certificate"]),
         samples_tried=_int(d["samples_tried"]),
     )
-    if (v.certificate is None) == (v.witness_u is None):
-        raise ValueError("a verdict holds either a witness or a certificate")
+    c = v.certificate
+    if c is None and v.witness_u is not None:
+        u, h = v.witness_u, v.witness_h
+    elif c is not None and v.witness_u is None and v.witness_h is None and len(c.rows) == len(c.cols):
+        u, h = c.sample_u, c.sample_h
+    else:
+        raise ValueError("a verdict holds either a witness or a certificate with a square minor")
+    if len(u) != mats.g.cols or (None if h is None else len(h)) != h_dim:
+        raise ValueError(f"a sample holds {mats.g.cols} u values and {h_dim or 'no'} h values")
+    if v.samples_tried < 1:
+        raise ValueError("a sampled verdict counts its first sample")
     return v
 
 
@@ -146,7 +161,12 @@ def report_from_dict(d: dict) -> AnalysisReport:
     conclusion, note or ``cone.exists``; an ``F_test`` after an
     all-degenerate f-test), as are a non-canonical rational such as "6/2",
     an extra or missing key, another schema version, a non-int scalar and
-    a report without reactions.
+    a report without reactions.  A proof must have its shape: a cone
+    witness w with N w = 0 and w >= 1; a witness, or a bordering
+    certificate's sample, of r - s u values and, in the F-test only, n h
+    values; certificate rows and columns as int lists of one length; and
+    a sample count of at least 1.  The rank at a witness and the
+    certificate's minors are not checked.
     """
     try:
         if d.get("schema_version") != SCHEMA_VERSION:
@@ -155,9 +175,12 @@ def report_from_dict(d: dict) -> AnalysisReport:
             raise ValueError("a report without reactions cannot be read: nothing derives its matrices")
         network = parse_network("\n".join(d["network"]["reactions"]))
         mats = NetworkMatrices.from_network(network)
-        f = _verdict_from_dict(d["f_test"], mats.s)
-        F = _verdict_from_dict(d["F_test"], mats.n) if f.nondegenerate else implied_F_verdict(mats)
-        report = AnalysisReport(network, mats, ConeResult(_parse_frac_list(d["cone"]["witness"])), f, F)
+        f = _verdict_from_dict(d["f_test"], mats, F_test=False)
+        F = _verdict_from_dict(d["F_test"], mats, F_test=True) if f.nondegenerate else implied_F_verdict(mats)
+        cone = ConeResult(_parse_frac_list(d["cone"]["witness"]))
+        if cone.exists and not is_cone_witness(mats.n_mat, cone.witness):
+            raise ValueError("the cone witness is not a kernel vector of N with every entry >= 1")
+        report = AnalysisReport(network, mats, cone, f, F)
         if json.dumps(report_to_dict(report), sort_keys=True) != json.dumps(d, sort_keys=True):
             raise ValueError("report contradicts its proofs, or is not as report_to_dict writes it")
     except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:

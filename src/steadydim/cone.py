@@ -143,7 +143,12 @@ def positive_kernel_vector(n_mat: RatMatrix) -> ConeResult:
     if not feasible:
         return ConeResult(None)
     w = tuple(rational(x + 1) for x in v)
-    residual = n_mat.mul_vec(w)
-    if any(residual) or min(w) < 1:
+    if not is_cone_witness(n_mat, w):
         raise RuntimeError("simplex produced an invalid cone witness")
     return ConeResult(w)
+
+
+def is_cone_witness(n_mat: RatMatrix, w) -> bool:
+    """Whether ``w`` is a witness as ``positive_kernel_vector`` returns one:
+    n_mat @ w = 0 and w_i >= 1 componentwise."""
+    return len(w) == n_mat.cols and all(x >= 1 for x in w) and not any(n_mat.mul_vec(w))

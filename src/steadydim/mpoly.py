@@ -12,15 +12,15 @@ nonzero MPoly} per row, the format of the samples and of ``RatMatrix``.
 On it this module provides the exact symbolic determinant of the minor
 that a list of rows and a list of column indices select (Laplace
 expansion along the sparsest remaining row, every sub-minor computed once
-per call), and a short-circuiting test that every k x k minor vanishes:
+per call), and a short-circuiting test that every k x k minor vanishes,
 over the minors that border a known nonsingular (k-1)-submatrix
-(Kronecker's rank theorem), or over all of them.  A bordering minor is
-decided block by block: the nonsingular submatrix splits into square
-blocks, the connected components of its graph of nonzero entries, and
-the minor is 0 exactly when the determinant of its added row and column
-joined with the blocks that both meet is.  When they meet none and
-cross at a zero entry, that is known with no arithmetic.  Only the first
-nonzero minor, the witness, is expanded in full.
+(Kronecker's rank theorem).  A bordering minor is decided block by
+block: the nonsingular submatrix splits into square blocks, the
+connected components of its graph of nonzero entries, and the minor is 0
+exactly when the determinant of its added row and column joined with the
+blocks that both meet is.  When they meet none and cross at a zero
+entry, that is known with no arithmetic.  Only the first nonzero minor,
+the witness, is expanded in full.
 
 Multiplying by an int or a Fraction scales the coefficients, and adding
 the int 0 returns the polynomial itself, without the general product or
@@ -30,7 +30,6 @@ sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -198,76 +197,42 @@ class MinorWitness(NamedTuple):
 
 
 def all_minors_zero(
-    rows: Sequence[Mapping[int, MPoly]],
-    ncols: int,
-    k: int,
-    basis: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+    rows: Sequence[Mapping[int, MPoly]], ncols: int, basis: tuple[Sequence[int], Sequence[int]]
 ) -> tuple[bool, Optional[MinorWitness]]:
-    """Check whether every k x k minor is the zero polynomial.
+    """Check whether every k x k minor is the zero polynomial, k the size of ``basis`` plus 1.
 
     The matrix is ``rows``, one dict {column: nonzero MPoly} per row, over
-    the columns 0..``ncols``-1.  Returns ``(True, None)`` when all minors
-    vanish identically, which proves the symbolic rank is < k.  Otherwise
-    returns ``(False, witness)`` for the first nonzero minor found, with
-    its rows and columns ascending and its determinant.
+    the columns 0..``ncols``-1.  ``basis = (rows, cols)`` names a
+    (k-1) x (k-1) submatrix whose determinant is a nonzero polynomial (the
+    caller's guarantee).  Only the minors bordering it are decided: by
+    Kronecker's theorem they all vanish exactly when every k x k minor
+    does.  Returns ``(True, None)`` when they all vanish identically,
+    which proves the symbolic rank is k - 1.  Otherwise returns
+    ``(False, witness)`` for the first nonzero one, with its rows and
+    columns ascending and its determinant.
 
-    ``basis = (rows, cols)`` names a (k-1) x (k-1) submatrix whose
-    determinant is a nonzero polynomial (the caller's guarantee).  Then
-    only the minors bordering it are decided: by Kronecker's theorem they
-    all vanish exactly when every k x k minor does, so the answer is the
-    same, and a witness borders ``basis``.  A bordering minor adds one row
-    i outside ``rows`` and one column j outside ``cols``; they are taken
-    added row ascending, then added column ascending.  Each is decided
-    block by block, from the connected components of the basis
-    submatrix's bipartite graph of nonzero entries.  Each component is
-    square with a nonzero determinant, since the basis is nonsingular.
-    In the minor, the rows of a component that column j does not meet
-    have no entry outside the component's columns, and the columns of a
-    component that row i does not meet have none outside its rows.  So
-    the minor is, up to sign, the determinant of the joined block (row i,
-    column j and every component that both of them meet) times those of
-    the other components, and it is 0 exactly when the joined block's
-    determinant is.  If j is not an entry of row i and the two meet no
-    common component, that block is the 1 x 1 zero and no arithmetic is
-    done.  The full minor is computed only for the witness.  A basis
-    whose graph has a component that is not square, or a column with no
-    entry, is singular and raises ValueError.
-
-    Without ``basis`` every minor is scanned.  Rows and columns are then
-    sorted by ascending nonzero count (ties by index), subsets in
-    lexicographic order over that arrangement, so the witness is
-    deterministic and structured matrices exit early.
+    A bordering minor adds one row i outside ``rows`` and one column j
+    outside ``cols``; they are taken added row ascending, then added
+    column ascending.  Each is decided block by block, from the connected
+    components of the basis submatrix's bipartite graph of nonzero
+    entries.  Each component is square with a nonzero determinant, since
+    the basis is nonsingular.  In the minor, the rows of a component that
+    column j does not meet have no entry outside the component's columns,
+    and the columns of a component that row i does not meet have none
+    outside its rows.  So the minor is, up to sign, the determinant of the
+    joined block (row i, column j and every component that both of them
+    meet) times those of the other components, and it is 0 exactly when
+    the joined block's determinant is.  If j is not an entry of row i and
+    the two meet no common component, that block is the 1 x 1 zero and no
+    arithmetic is done.  The full minor is computed only for the witness.
+    A basis that is not square, repeats an index or has one out of range
+    raises ValueError, and so does one whose graph has a component that
+    is not square, or a column with no entry, which is singular.
     """
-    nrows = len(rows)
-    if k < 0 or k > min(nrows, ncols):
-        raise ValueError(f"no {k}x{k} minors in a {nrows}x{ncols} matrix")
-    if k == 0:
-        return False, MinorWitness((), (), MPoly.const(1))
-
-    if basis is not None:
-        for idx, bound in zip(basis, (nrows, ncols)):
-            if len(idx) != k - 1 or len(set(idx)) != k - 1 or not all(0 <= x < bound for x in idx):
-                raise ValueError(f"basis {basis} is not a {k - 1}x{k - 1} submatrix")
-        return _bordering_minors_zero(rows, ncols, *basis)
-
-    row_order = sorted(range(nrows), key=lambda i: (len(rows[i]), i))
-    col_order = sorted(range(ncols), key=lambda j: (sum(j in row for row in rows), j))
-    subsets = (
-        (tuple(sorted(rsel)), tuple(sorted(csel)))
-        for rsel in combinations(row_order, k)
-        for csel in combinations(col_order, k)
-    )
-    for rset, cset in subsets:
-        d = det([rows[i] for i in rset], cset)
-        if not d.is_zero():
-            return False, MinorWitness(rset, cset, d)
-    return True, None
-
-
-def _bordering_minors_zero(
-    rows: Sequence[Mapping[int, MPoly]], ncols: int, basis_rows: Sequence[int], basis_cols: Sequence[int]
-) -> tuple[bool, Optional[MinorWitness]]:
-    """``all_minors_zero`` over the minors bordering the basis, block by block."""
+    basis_rows, basis_cols = basis
+    for idx, bound in zip(basis, (len(rows), ncols)):
+        if len(idx) != len(basis_rows) or len(set(idx)) != len(idx) or not all(0 <= x < bound for x in idx):
+            raise ValueError(f"basis {basis} is not a square submatrix")
     colset = set(basis_cols)
     col_rows: dict[int, list[int]] = {}  # the basis rows that hold each column
     for r in basis_rows:
@@ -297,7 +262,7 @@ def _bordering_minors_zero(
                             row_comp[r2] = label
                             stack.append(r2)
     if len(col_comp) < len(colset) or any(len(a) != len(b) for a, b in zip(comp_rows, comp_cols)):
-        raise ValueError(f"basis {(tuple(basis_rows), tuple(basis_cols))} is singular")
+        raise ValueError(f"basis {basis} is singular")
 
     # the components that each column outside the basis meets
     col_touch = {j: {row_comp[r] for r in col_rows.get(j, ())} for j in range(ncols) if j not in colset}

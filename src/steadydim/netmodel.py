@@ -228,7 +228,7 @@ def parse_network(text: str) -> ReactionNetwork:
 
 @dataclass(frozen=True)
 class NetworkMatrices:
-    """The matrix quadruple of a network plus its dimensions.
+    """The matrix quadruple of a network; its dimensions are their shapes.
 
     gamma : n x r stoichiometric matrix (product - reactant columns)
     b     : n x r reactant-exponent matrix
@@ -243,10 +243,22 @@ class NetworkMatrices:
     b: RatMatrix
     n_mat: RatMatrix
     w_mat: RatMatrix
-    n: int
-    r: int
-    s: int
-    d: int
+
+    @property
+    def n(self) -> int:
+        return self.b.rows
+
+    @property
+    def r(self) -> int:
+        return self.b.cols
+
+    @property
+    def s(self) -> int:
+        return self.n_mat.rows
+
+    @property
+    def d(self) -> int:
+        return self.w_mat.rows
 
     @cached_property
     def g(self) -> RatMatrix:
@@ -290,10 +302,7 @@ class NetworkMatrices:
                 b_rows[i][k] = c
         gamma = RatMatrix.from_entries(n, r, gamma_rows)
         b = RatMatrix.from_entries(n, r, b_rows)
-        n_mat = gamma.row_basis()
-        w_mat = gamma.left_kernel_basis()
-        s = n_mat.rows
-        return cls(gamma=gamma, b=b, n_mat=n_mat, w_mat=w_mat, n=n, r=r, s=s, d=n - s)
+        return cls(gamma=gamma, b=b, n_mat=gamma.row_basis(), w_mat=gamma.left_kernel_basis())
 
     @classmethod
     def from_matrices(cls, n_mat: RatMatrix, b: RatMatrix, w_mat: RatMatrix | None = None) -> "NetworkMatrices":
@@ -323,6 +332,4 @@ class NetworkMatrices:
             raise ValueError(f"w_mat must be a full-rank {n - s}x{n} matrix")
         # gamma := P n_mat with P a basis of ker(w_mat): same row space as
         # n_mat, left kernel spanned by w_mat
-        p = w_mat.kernel_basis()
-        gamma = p @ n_mat
-        return cls(gamma=gamma, b=b, n_mat=n_mat, w_mat=w_mat, n=n, r=r, s=s, d=n - s)
+        return cls(gamma=w_mat.kernel_basis() @ n_mat, b=b, n_mat=n_mat, w_mat=w_mat)

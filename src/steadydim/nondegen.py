@@ -139,12 +139,18 @@ class GenericRankVerdict:
 
 @dataclass(frozen=True)
 class SteadyStateCheck:
+    """A candidate point, its residual flag, its s x n Jacobian and the rank of
+    the Jacobian stacked on W; ``degenerate`` reads that rank."""
+
     kappa: tuple[Fraction, ...]
     x: tuple[Fraction, ...]
     residual_zero: bool
     jacobian: RatMatrix
     stacked_rank: int
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.stacked_rank < self.jacobian.cols
 
 
 class VarietyConclusion(str, Enum):
@@ -356,7 +362,7 @@ def generic_rank_test(
     basis = basis_mod_p(rows)
     symbolic = _symbolic(matrix, u_dim, h_dim) if len(basis[0]) < target else None
     while len(basis[0]) < target:
-        vanish, witness = all_minors_zero(symbolic, cols, len(basis[0]) + 1, basis=basis)
+        vanish, witness = all_minors_zero(symbolic, cols, basis)
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,
@@ -428,14 +434,12 @@ def check_steady_state(mats: NetworkMatrices, kappa, x) -> SteadyStateCheck:
     scaled = [k * m for k, m in zip(kv, _monomials(mats, xv))]
     residual = mats.n_mat.mul_vec(scaled)
     jac = RatMatrix.from_entries(mats.s, mats.n, jacobian(mats, scaled, [1 / v for v in xv]))
-    stacked_rank = jac.vstack(mats.w_mat).rank()
     return SteadyStateCheck(
         kappa=kv,
         x=xv,
         residual_zero=not any(residual),
         jacobian=jac,
-        stacked_rank=stacked_rank,
-        degenerate=stacked_rank < mats.n,
+        stacked_rank=jac.vstack(mats.w_mat).rank(),
     )
 
 

@@ -155,17 +155,9 @@ class RatMatrix:
 
     # -- access ------------------------------------------------------
 
-    def at(self, i: int, j: int) -> Rational:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self._entries[i].get(j, 0)
-
     def row(self, i: int) -> tuple[Rational, ...]:
         d = self._entries[i]
         return tuple(d.get(j, 0) for j in range(self.cols))
-
-    def column(self, j: int) -> tuple[Rational, ...]:
-        return tuple(d.get(j, 0) for d in self._entries)
 
     def entries(self, i: int) -> dict[int, Rational]:
         """The nonzero entries of row i as a new dict {column: value}."""

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from steadydim.mpoly import MinorWitness, MPoly, det
 from steadydim.netmodel import NetworkMatrices
 from steadydim.ratmat import RatMatrix
 
@@ -129,6 +131,30 @@ def bordering_minors(nrows: int, ncols: int, basis):
         rset = tuple(sorted((*rows, i)))
         for j in free_cols:
             yield rset, tuple(sorted((*cols, j)))
+
+
+def all_minors_scan(rows, ncols: int, k: int):
+    """Whether every k x k minor of ``rows`` is the zero polynomial, by
+    scanning them all (test oracle for ``mpoly.all_minors_zero``).
+
+    ``rows`` are sparse rows of MPolys over the columns 0..``ncols``-1.
+    Returns ``(True, None)``, or ``(False, witness)`` for the first nonzero
+    minor: rows and columns are sorted by ascending nonzero count (ties by
+    index), subsets taken in lexicographic order over that arrangement.
+    The one 0 x 0 minor is 1.
+    """
+    if k == 0:
+        return False, MinorWitness((), (), MPoly.const(1))
+    row_order = sorted(range(len(rows)), key=lambda i: (len(rows[i]), i))
+    col_order = sorted(range(ncols), key=lambda j: (sum(j in row for row in rows), j))
+    for rsel in combinations(row_order, k):
+        rset = tuple(sorted(rsel))
+        for csel in combinations(col_order, k):
+            cset = tuple(sorted(csel))
+            d = det([rows[i] for i in rset], cset)
+            if d:
+                return False, MinorWitness(rset, cset, d)
+    return True, None
 
 
 @st.composite

@@ -25,7 +25,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def _sym(m) -> sympy.Matrix:
-    return sympy.Matrix(m.rows, m.cols, [int(m.at(i, j)) for i in range(m.rows) for j in range(m.cols)])
+    return sympy.Matrix(m.rows, m.cols, [int(m.row(i)[j]) for i in range(m.rows) for j in range(m.cols)])
 
 
 def _sympy_matrices(mats: NetworkMatrices):

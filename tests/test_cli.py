@@ -282,6 +282,21 @@ def _shift_s(d, by):
         ("calcium", lambda d: _shift_s(d, -1)),
         # only the reactions give the matrices
         ("example45", lambda d: d["network"].update(species=None, reactions=None)),
+        # a proof has its shape: calcium has n = 4 and r - s = 3, and both its tests have a witness
+        ("calcium", lambda d: d["F_test"].update(witness_h=None)),
+        ("calcium", lambda d: d["F_test"].update(witness_h=["1"])),
+        ("calcium", lambda d: d["f_test"].update(samples_tried=-1)),
+        ("example45", lambda d: d["F_test"].update(samples_tried=0)),
+        ("example42", lambda d: d["f_test"]["certificate"].update(rows=None)),
+        ("example42", lambda d: d["f_test"]["certificate"].update(cols=[0, 1])),
+        ("example42", lambda d: d["f_test"]["certificate"].update(sample_u=[5427, 1])),
+        ("example42", lambda d: d["f_test"]["certificate"].update(sample_h=[1, 1, 1])),
+        ("example45", lambda d: d["F_test"]["certificate"].update(sample_h=None)),
+        ("example45", lambda d: d["F_test"].update(witness_h=["1", "1"])),
+        # the cone witness is a kernel vector of N with every entry >= 1
+        ("calcium", lambda d: d["cone"].update(witness=[])),
+        ("calcium", lambda d: d["cone"].update(witness=["1"] * 6)),
+        ("calcium", lambda d: d["cone"].update(witness=["1/2", "1/2", "1/2", "1", "1/2", "1/2"])),
     ],
     ids=[
         "status_without_certificate",
@@ -294,6 +309,19 @@ def _shift_s(d, by):
         "s_and_d_plus_1",
         "s_and_d_minus_1",
         "without_reactions",
+        "F_witness_h_null",
+        "F_witness_h_short",
+        "samples_tried_negative",
+        "samples_tried_zero",
+        "certificate_rows_null",
+        "certificate_not_square",
+        "certificate_sample_u_long",
+        "certificate_sample_h_in_f_test",
+        "certificate_sample_h_null_in_F_test",
+        "certificate_with_witness_h",
+        "cone_witness_empty",
+        "cone_witness_not_in_kernel",
+        "cone_witness_below_1",
     ],
 )
 def test_report_from_dict_rejects_what_report_to_dict_would_not_write(record, tamper):

@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from steadydim.mpoly import MinorWitness, MPoly, all_minors_zero, det
 
-from conftest import bordering_minors, cofactor_det, dict_rows
+from conftest import all_minors_scan, bordering_minors, cofactor_det, dict_rows
 
 # variables u1, u2, h1 are 0, 1, 2
 U1, U2, H1 = 0, 1, 2
@@ -137,42 +137,46 @@ def test_det_eval_agreement():
 
 
 def test_all_minors_zero_identity():
+    # every leading principal submatrix is a basis, bordered by the next one
     n = 3
     ident = [[MPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    ok, witness = all_minors_zero(dict_rows(ident), n, n)
-    assert not ok
-    assert witness.poly == MPoly.const(1)
-    assert witness.rows == (0, 1, 2)
-    assert witness.cols == (0, 1, 2)
+    for size in range(n):
+        lead = tuple(range(size))
+        ok, witness = all_minors_zero(dict_rows(ident), n, (lead, lead))
+        assert not ok
+        assert witness == MinorWitness(tuple(range(size + 1)), tuple(range(size + 1)), MPoly.const(1))
 
 
 def test_all_minors_zero_rank_one_scaled():
-    # rank-1 matrix in one kernel parameter: every 2x2 and 3x3 minor vanishes
+    # rank-1 matrix in one kernel parameter: a 1x1 minor is nonzero, and
+    # every 2x2 minor bordering a nonzero entry vanishes
     a = u(0)
     m = [
         [a * -2, a * 2, a * 2],
         [a, -a, -a],
         [a, -a, -a],
     ]
-    ok3, _ = all_minors_zero(dict_rows(m), 3, 3)
-    assert ok3
-    ok2, _ = all_minors_zero(dict_rows(m), 3, 2)
-    assert ok2
-    ok1, witness = all_minors_zero(dict_rows(m), 3, 1)
+    ok1, witness = all_minors_zero(dict_rows(m), 3, ((), ()))
     assert not ok1
-    assert not witness.poly.is_zero()
+    assert witness == MinorWitness((0,), (0,), a * -2)
+    for i in range(3):
+        for j in range(3):
+            assert all_minors_zero(dict_rows(m), 3, ((i,), (j,))) == (True, None)
 
 
 def test_all_minors_zero_witness_row_vector():
     m = [[u(0, 2) - u(1, 2), MPoly()]]
-    ok, witness = all_minors_zero(dict_rows(m), 2, 1)
+    ok, witness = all_minors_zero(dict_rows(m), 2, ((), ()))
     assert not ok
     assert witness == MinorWitness((0,), (0,), u(0, 2) - u(1, 2))
+    # a one-row matrix has no minor bordering a 1x1 one
+    assert all_minors_zero(dict_rows(m), 2, ((0,), (0,))) == (True, None)
 
 
 def test_all_minors_zero_bad_k():
+    # a 1x1 matrix has no 2x2 minor: a 1x1 basis fits, a 2x2 one does not
     with pytest.raises(ValueError):
-        all_minors_zero(dict_rows([[u(0)]]), 1, 2)
+        all_minors_zero(dict_rows([[u(0)]]), 1, ((0, 1), (0, 1)))
 
 
 def _linear_form(rng: random.Random) -> MPoly:
@@ -281,11 +285,11 @@ def test_all_minors_zero_bordering_agrees_with_full_scan():
         ]
         rows = dict_rows(m)
         for k in range(1, min(nrows, ncols) + 1):
-            none_below, base = all_minors_zero(rows, ncols, k - 1)
+            none_below, base = all_minors_scan(rows, ncols, k - 1)
             if none_below:
                 continue  # no nonsingular (k-1)-submatrix to border
-            full, _ = all_minors_zero(rows, ncols, k)
-            ok, witness = all_minors_zero(rows, ncols, k, basis=(base.rows, base.cols))
+            full, _ = all_minors_scan(rows, ncols, k)
+            ok, witness = all_minors_zero(rows, ncols, (base.rows, base.cols))
             assert ok == full
             decided[ok] += 1
             if not ok:
@@ -332,11 +336,11 @@ def test_all_minors_zero_bordering_decides_block_by_block(seed):
     m = _block_matrix(random.Random(seed))
     rows, ncols = dict_rows(m), len(m[0])
     for k in range(1, min(len(rows), ncols) + 1):
-        none_below, base = all_minors_zero(rows, ncols, k - 1)
+        none_below, base = all_minors_scan(rows, ncols, k - 1)
         if none_below:
             break  # no nonsingular (k-1)-submatrix to border
         basis = (base.rows, base.cols)
-        ok, witness = all_minors_zero(rows, ncols, k, basis=basis)
+        ok, witness = all_minors_zero(rows, ncols, basis)
         nonzero = [
             (rset, cset)
             for rset, cset in bordering_minors(len(rows), ncols, basis)
@@ -365,13 +369,13 @@ def test_all_minors_zero_bordering_computes_only_joined_blocks(monkeypatch):
     monkeypatch.setattr(
         "steadydim.mpoly.det", lambda rows, cols: sizes.append(len(cols)) or real_det(rows, cols)
     )
-    ok, witness = all_minors_zero(dict_rows(m), 4, 3, basis=((0, 2), (0, 2)))
+    ok, witness = all_minors_zero(dict_rows(m), 4, ((0, 2), (0, 2)))
     assert not ok and (witness.rows, witness.cols) == ((0, 1, 2), (0, 1, 2))
     assert witness.poly == u(0) * (u(0) * u(0) - u(1) * u(1))
     # the joined block rows (0, 1) x cols (0, 1) and the full witness minor
     assert sizes == [2, 3]
     sizes.clear()
-    assert all_minors_zero(dict_rows([row[2:] for row in m[2:]]), 2, 2, basis=((0,), (0,))) == (True, None)
+    assert all_minors_zero(dict_rows([row[2:] for row in m[2:]]), 2, ((0,), (0,))) == (True, None)
     assert sizes == [2]
 
 
@@ -379,12 +383,13 @@ def test_all_minors_zero_rejects_a_structurally_singular_basis():
     m = [[u(0), u(1), MPoly()], [u(1), u(0), MPoly()], [MPoly(), MPoly(), u(0)]]
     for basis in (((0, 1), (0, 2)), ((0, 1), (1, 2))):
         with pytest.raises(ValueError):
-            all_minors_zero(dict_rows(m), 3, 3, basis=basis)
+            all_minors_zero(dict_rows(m), 3, basis)
 
 
 def test_all_minors_zero_rejects_bad_basis():
+    # not square (twice), a repeated index, a row and a column out of range
     m = [[u(0), u(1)], [u(1), u(0)]]
-    for basis in (((0,), ()), ((0, 1), (0, 1)), ((2,), (0,)), ((0,), (-1,))):
+    for basis in (((0,), ()), ((0,), (0, 1)), ((0, 0), (0, 1)), ((2,), (0,)), ((0,), (-1,))):
         with pytest.raises(ValueError):
-            all_minors_zero(dict_rows(m), 2, 2, basis=basis)
+            all_minors_zero(dict_rows(m), 2, basis)
 

@@ -265,8 +265,8 @@ def test_matrix_invariants_random():
         for j, rx in enumerate(net.reactions):
             total_product = sum(c for _, c in rx.product.coeffs)
             total_reactant = sum(c for _, c in rx.reactant.coeffs)
-            assert sum(mats.gamma.column(j)) == total_product - total_reactant
-            assert mats.b.column(j) == tuple(rx.reactant.coefficient(i) for i in range(mats.n))
+            assert sum(mats.gamma.transpose().row(j)) == total_product - total_reactant
+            assert mats.b.transpose().row(j) == tuple(rx.reactant.coefficient(i) for i in range(mats.n))
         assert all(x >= 0 for i in range(mats.n) for x in mats.b.row(i))
         assert mats.gamma.vstack(mats.n_mat).rank() == mats.s
         assert mats.w_mat.rank() == mats.n - mats.s

@@ -208,7 +208,7 @@ def test_against_sympy_oracle():
         assert rank == sm.rank()
         for i in range(m.rows):
             for j in range(m.cols):
-                assert red.at(i, j) == Fraction(int(sym_rref[i, j].p), int(sym_rref[i, j].q))
+                assert red.row(i)[j] == Fraction(int(sym_rref[i, j].p), int(sym_rref[i, j].q))
 
 
 # -- the sparse core against sympy ---------------------------------------------
@@ -237,7 +237,7 @@ def sparse_matrices(draw, max_dim: int = 6, rows: int | None = None) -> RatMatri
 
 
 def to_sympy(m: RatMatrix) -> sympy.Matrix:
-    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.at(i, j)))
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.row(i)[j]))
 
 
 def from_sympy(sm: sympy.Matrix) -> RatMatrix:
@@ -248,7 +248,7 @@ def from_sympy(sm: sympy.Matrix) -> RatMatrix:
 
 
 def primitive_columns(vectors, length: int) -> RatMatrix:
-    cols = [primitive(from_sympy(v).column(0)) for v in vectors]
+    cols = [primitive(from_sympy(v).transpose().row(0)) for v in vectors]
     return RatMatrix.from_rows(cols, cols=length).transpose()
 
 
