@@ -13,12 +13,17 @@ Jacobian at an explicit point, come from one routine, ``jacobian``, which
 sums the nonzero products N[i,k] B[j,k] (collected once per network)
 against numbers or polynomials alike into sparse rows, one dict
 {column: nonzero entry} per row, so a sample costs time in its nonzeros,
-not in s x n.  Each target rank is tested at one random integer point,
-straight from the integer matrices: one forward pass modulo the prime
-2^61 - 1 gives a submatrix that is nonsingular modulo p, hence over Q,
-so a sample whose submatrix reaches the target is a proven witness.
-Only when it falls short is the polynomial matrix built, in the same
-sparse rows with MPoly entries, over the variables u_t (index t) and h_j
+not in s x n.  Each target rank is tested first at one random integer
+point, straight from the integer matrices: one forward pass modulo the
+prime 2^61 - 1 gives a submatrix that is nonsingular modulo p, hence
+over Q, so a sample whose submatrix reaches the target is a proven
+witness.  The two tests share that point's u: the F matrix at (u, h) is
+the f matrix at u with column j times h_j, and W below it, so the F-test
+takes the f witness's u, draws only h, and adds the d rows of
+W diag(h)^-1 to the f-test's echelon modulo p, which gives the rows and
+leads of the whole F matrix at (u, h) (a hunted f witness is reduced
+afresh).  Only when a sample falls short is the polynomial matrix
+built, in the same sparse rows with MPoly entries, over the variables u_t (index t) and h_j
 (index u_dim + j).  The sample's rank modulo p, rho, gives a nonsingular
 rho x rho submatrix; its bordering (rho+1)-minors, each decided from the
 blocks of that submatrix, either all vanish, which proves the rank is
@@ -50,7 +55,7 @@ from .cone import ConeResult, positive_kernel_vector
 # imported by name: bench/tracer.py patches nondegen.all_minors_zero
 from .mpoly import MPoly, all_minors_zero
 from .netmodel import NetworkMatrices, ReactionNetwork
-from .ratmat import RatMatrix, Rational, basis_mod_p
+from .ratmat import MODULUS, EchelonModP, RatMatrix, Rational
 
 _ONE = Fraction(1)
 
@@ -74,7 +79,8 @@ class BudgetExhausted(RuntimeError):
 class SamplerConfig:
     """Settings of the randomized rank test, which draws one sample first,
     components from [-H, H] (u, zero excluded) or [1, H] (h),
-    H = ``_SAMPLE_BOUND``.
+    H = ``_SAMPLE_BOUND``; in ``analyze_matrices`` the F-test's first
+    sample is the f witness's u with only h drawn.
 
     seed: base RNG seed; every derived stream is a pure function of it.
     hard_cap: optional absolute cap on minor-hunt samples (off by default;
@@ -309,6 +315,34 @@ def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[in
     return tuple(u_vals), h_vals
 
 
+# A rank test's first sample, drawn with its rng: (u, h, echelon), the
+# echelon modulo p of the matrix at (u, h), its rows in order; a column may
+# be scaled by a nonzero number, the same in every row, which changes
+# neither the rows that add a lead nor the leads.
+FirstSample = Callable[[random.Random], tuple[tuple[int, ...], Optional[tuple[int, ...]], EchelonModP]]
+
+
+def extend_by_w(mats: NetworkMatrices, echelon: EchelonModP, h: Sequence[int]) -> EchelonModP:
+    """The F matrix's echelon at (u, h) from the f matrix's at u, extended in place.
+
+    The F matrix at (u, h) is [f(u) diag(h); W].  Scaled on the right by the
+    invertible diag(h)^-1 it is [f(u); W diag(h)^-1], whose rows are
+    independent in the same places and whose row spaces have the same
+    leads, so adding the d rows of W diag(h)^-1 modulo p to the echelon of
+    f(u) gives the ``(R, C)`` of the F matrix: R is f's R plus s + i for
+    each row i of W that adds a lead.  Each h_j is an integer from 1 to
+    less than p, so it has an inverse modulo p.
+    """
+    inverse: dict[int, int] = {}
+    for i in range(mats.d):
+        row = mats.w_mat.entries(i)
+        for j in row:
+            if j not in inverse:
+                inverse[j] = pow(h[j], -1, MODULUS)
+        echelon.add({j: x * inverse[j] for j, x in row.items()})
+    return echelon
+
+
 def generic_rank_test(
     matrix: MatrixFn,
     target: int,
@@ -318,6 +352,7 @@ def generic_rank_test(
     h_dim: Optional[int] = None,
     cols: int,
     rng: Optional[random.Random] = None,
+    first: Optional[FirstSample] = None,
 ) -> GenericRankVerdict:
     """Decide whether the matrix ``matrix(u, h)`` has rank >= ``target`` somewhere.
 
@@ -328,9 +363,12 @@ def generic_rank_test(
     function at the variables u1.., h1...
 
     One sample first, with one forward pass modulo the prime
-    ``ratmat.MODULUS``, ``basis_mod_p``: rows R and columns C of a
-    submatrix that is nonsingular over Q.  If ``len(R) >= target`` the
-    sample is the witness.  Otherwise the polynomial matrix is built, and
+    ``ratmat.MODULUS``, an ``EchelonModP``: rows R and columns C of a
+    submatrix that is nonsingular over Q.  ``first``, when given, draws
+    that sample and its echelon (``analyze_matrices`` gives the F-test
+    the f-test's echelon extended by W); by default u and h are drawn and
+    the matrix there is reduced.  If ``len(R) >= target`` the sample is
+    the witness.  Otherwise the polynomial matrix is built, and
     while the basis (R, C), of size rho, falls short of the target, only
     the minors bordering it are decided symbolically:
 
@@ -355,11 +393,14 @@ def generic_rank_test(
     rng = rng or random.Random(cfg.seed)
     bound = _SAMPLE_BOUND
     hunted = 0
-    u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
-    rows = matrix(u_vals, h_vals)
-    if target > min(len(rows), cols):
-        raise ValueError(f"target rank {target} out of range for {len(rows)}x{cols}")
-    basis = basis_mod_p(rows)
+    if first is None:
+        u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+        echelon = EchelonModP(matrix(u_vals, h_vals))
+    else:
+        u_vals, h_vals, echelon = first(rng)
+    if target > min(echelon.count, cols):
+        raise ValueError(f"target rank {target} out of range for {echelon.count}x{cols}")
+    basis = echelon.basis()
     symbolic = _symbolic(matrix, u_dim, h_dim) if len(basis[0]) < target else None
     while len(basis[0]) < target:
         vanish, witness = all_minors_zero(symbolic, cols, basis)
@@ -467,20 +508,40 @@ def analyze_matrices(
     ``mats`` that computes the rest from them.
 
     The rank tests run whether or not the positive kernel cone is empty.
-    After an AllDegenerate f-test the F verdict is ``implied_F_verdict``.
+    The F-test's first sample is the f witness's u with h drawn from the
+    "F-test" stream, and its echelon is the f-test's extended by W
+    (``extend_by_w``).  After an AllDegenerate f-test the F verdict is
+    ``implied_F_verdict``.
     Without ``network`` the report cannot be read back by
     ``cli.report_from_dict``, which derives the matrices from the reactions.
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
+    u_dim = mats.g.cols
 
-    def rank_test(matrix: MatrixFn, target: int, label: str, h_dim=None) -> GenericRankVerdict:
+    def rank_test(matrix: MatrixFn, target: int, label: str, first: FirstSample, h_dim=None):
         rng = random.Random(derive_seed(cfg.seed, label))
-        return generic_rank_test(matrix, target, cfg, u_dim=mats.g.cols, h_dim=h_dim, cols=mats.n, rng=rng)
+        return generic_rank_test(matrix, target, cfg, u_dim=u_dim, h_dim=h_dim, cols=mats.n, rng=rng, first=first)
 
-    f_verdict = rank_test(f_test_matrix(mats), mats.s, "f-test")
+    f_matrix = f_test_matrix(mats)
+    f_echelon = None  # of the f-test's first sample
+
+    def f_sample(rng: random.Random):
+        nonlocal f_echelon
+        u_vals, _ = _sample_point(rng, _SAMPLE_BOUND, u_dim, None)
+        f_echelon = EchelonModP(f_matrix(u_vals, None))
+        return u_vals, None, f_echelon
+
+    def F_sample(rng: random.Random):
+        # the f witness's u, and only h drawn; a hunted witness was never reduced
+        u_vals = f_verdict.witness_u
+        _, h_vals = _sample_point(rng, _SAMPLE_BOUND, 0, mats.n)
+        echelon = f_echelon if f_verdict.samples_tried == 1 else EchelonModP(f_matrix(u_vals, None))
+        return u_vals, h_vals, extend_by_w(mats, echelon, h_vals)
+
+    f_verdict = rank_test(f_matrix, mats.s, "f-test", f_sample)
     if f_verdict.nondegenerate:
-        F_verdict = rank_test(F_test_matrix(mats), mats.n, "F-test", mats.n)
+        F_verdict = rank_test(F_test_matrix(mats), mats.n, "F-test", F_sample, mats.n)
     else:
         F_verdict = implied_F_verdict(mats)
     return AnalysisReport(network, mats, cone, f_verdict, F_verdict)

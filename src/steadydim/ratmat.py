@@ -23,7 +23,8 @@ freely across threads; each one keeps its elimination once computed.
 on a matrix of ints and Fractions, given as the same sparse rows, and
 returns the rows and the leads of a submatrix that is nonsingular
 modulo p, hence over Q: a proof that the rational rank is at least its
-size, with no rational arithmetic.
+size, with no rational arithmetic.  ``EchelonModP`` is that pass one
+row at a time, so a caller can extend it by more rows.
 
 Basis vectors are primitive integer vectors, to keep downstream
 coefficients small.
@@ -32,6 +33,7 @@ coefficients small.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -415,37 +417,72 @@ def divide_content(row: dict[int, int]) -> int:
     return content
 
 
+class EchelonModP:
+    """The forward pass of ``basis_mod_p``, one row at a time, so that more
+    rows can extend it.
+
+    ``add`` scales a row, a dict {column: int or Fraction}, by the lcm of
+    its denominators and reduces it modulo ``MODULUS`` against the earlier
+    independent rows whose lead (first nonzero column) it meets, until its
+    own lead is new or nothing is left, so the work follows the nonzeros.
+    Its next lead comes from a heap of its columns: a column that cancels
+    stays in the heap and is skipped when it comes up, and one that fills
+    in is pushed, so a dense row is not scanned at every step.  ``count``
+    is the number of rows added so far.
+    """
+
+    __slots__ = ("count", "_rows", "_leads")
+
+    def __init__(self, rows: Iterable[Mapping[int, Rational]] = ()):
+        self.count = 0
+        self._rows: list[int] = []  # the rows that added a lead, in order
+        self._leads: dict[int, tuple[dict[int, int], int]] = {}  # lead -> (reduced row, inverse of its lead)
+        for row in rows:
+            self.add(row)
+
+    def add(self, row: Mapping[int, Rational]) -> None:
+        p = MODULUS
+        leads = self._leads
+        vec = {j: y for j, x in _integral(row)[1].items() if (y := x % p)}
+        heap = list(vec)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            if lead not in vec:  # cancelled since it was pushed
+                continue
+            if lead not in leads:
+                leads[lead] = (vec, pow(vec[lead], -1, p))
+                self._rows.append(self.count)
+                break
+            piv, inv = leads[lead]
+            f = vec[lead] * inv % p
+            for j, x in piv.items():
+                y = vec.get(j)
+                if y is None:
+                    vec[j] = -f * x % p
+                    heappush(heap, j)
+                elif y := (y - f * x) % p:
+                    vec[j] = y
+                else:
+                    del vec[j]
+        self.count += 1
+
+    def basis(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(R, C)``: the rows that added a new lead, in order, and the leads, ascending."""
+        return tuple(self._rows), tuple(sorted(self._leads))
+
+
 def basis_mod_p(rows: Sequence[Mapping[int, Rational]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(R, C)``: a nonsingular submatrix modulo ``MODULUS`` of a matrix
     given as sparse rows, of size the rank modulo p.
 
     Each row is a dict {column: int or Fraction}; it is first scaled by
-    the lcm of its denominators.  The rows are then reduced in order,
-    each against the earlier independent rows whose lead (first nonzero
-    column) it meets, until its own lead is new or nothing is left, so
-    the work follows the nonzeros.  R is the rows that added a new lead,
-    in order, and C the leads, ascending.  The scaled rows are integers,
-    so a determinant of ``A[R, C]`` nonzero modulo p is nonzero over Q:
-    ``A[R, C]`` is nonsingular, and ``len(R)`` never exceeds the rational
-    rank.
+    the lcm of its denominators.  The rows are then reduced in order by
+    ``EchelonModP``, each against the earlier independent rows whose lead
+    (first nonzero column) it meets, until its own lead is new or nothing
+    is left.  R is the rows that added a new lead, in order, and C the
+    leads, ascending.  The scaled rows are integers, so a determinant of
+    ``A[R, C]`` nonzero modulo p is nonzero over Q: ``A[R, C]`` is
+    nonsingular, and ``len(R)`` never exceeds the rational rank.
     """
-    p = MODULUS
-    leads: dict[int, tuple[dict[int, int], int]] = {}  # lead -> (reduced row, inverse of its lead)
-    basis_rows = []
-    for i, row in enumerate(rows):
-        vec = {j: y for j, x in _integral(row)[1].items() if (y := x % p)}
-        while vec:
-            lead = min(vec)
-            if lead not in leads:
-                leads[lead] = (vec, pow(vec[lead], -1, p))
-                basis_rows.append(i)
-                break
-            piv, inv = leads[lead]
-            f = vec[lead] * inv % p
-            for j, x in piv.items():
-                y = (vec.get(j, 0) - f * x) % p
-                if y:
-                    vec[j] = y
-                else:
-                    del vec[j]
-    return tuple(basis_rows), tuple(sorted(leads))
+    return EchelonModP(rows).basis()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from steadydim.mpoly import MinorWitness, MPoly, det
 from steadydim.netmodel import NetworkMatrices
-from steadydim.ratmat import RatMatrix
+from steadydim.ratmat import MODULUS, RatMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -155,6 +156,33 @@ def all_minors_scan(rows, ncols: int, k: int):
             if d:
                 return False, MinorWitness(rset, cset, d)
     return True, None
+
+
+def basis_mod_p_scan(rows):
+    """``ratmat.basis_mod_p`` with each row's next lead found by a ``min``
+    scan of its columns at every step (test oracle for the heap order)."""
+    p = MODULUS
+    leads = {}
+    basis_rows = []
+    for i, row in enumerate(rows):
+        denominators = [x.denominator for x in row.values() if isinstance(x, Fraction)]
+        mult = lcm(*denominators) if denominators else 1
+        vec = {j: y for j, x in row.items() if (y := int(x * mult) % p)}
+        while vec:
+            lead = min(vec)
+            if lead not in leads:
+                leads[lead] = (vec, pow(vec[lead], -1, p))
+                basis_rows.append(i)
+                break
+            piv, inv = leads[lead]
+            f = vec[lead] * inv % p
+            for j, x in piv.items():
+                y = (vec.get(j, 0) - f * x) % p
+                if y:
+                    vec[j] = y
+                else:
+                    del vec[j]
+    return tuple(basis_rows), tuple(sorted(leads))
 
 
 @st.composite

@@ -293,6 +293,10 @@ def _shift_s(d, by):
         ("example42", lambda d: d["f_test"]["certificate"].update(sample_h=[1, 1, 1])),
         ("example45", lambda d: d["F_test"]["certificate"].update(sample_h=None)),
         ("example45", lambda d: d["F_test"].update(witness_h=["1", "1"])),
+        # h is drawn from [1, H]: an integer >= 1
+        ("calcium", lambda d: d["F_test"]["witness_h"].__setitem__(0, "0")),
+        ("calcium", lambda d: d["F_test"]["witness_h"].__setitem__(0, "-5")),
+        ("example45", lambda d: d["F_test"]["certificate"]["sample_h"].__setitem__(0, 0)),
         # the cone witness is a kernel vector of N with every entry >= 1
         ("calcium", lambda d: d["cone"].update(witness=[])),
         ("calcium", lambda d: d["cone"].update(witness=["1"] * 6)),
@@ -319,6 +323,9 @@ def _shift_s(d, by):
         "certificate_sample_h_in_f_test",
         "certificate_sample_h_null_in_F_test",
         "certificate_with_witness_h",
+        "F_witness_h_zero",
+        "F_witness_h_negative",
+        "certificate_sample_h_zero",
         "cone_witness_empty",
         "cone_witness_not_in_kernel",
         "cone_witness_below_1",

@@ -17,7 +17,13 @@ modulus of the rank test, so every sample's rank modulo p falls short
 and each witness is a hunted point.  A change that alters any
 of these bytes must be deliberate: regenerate the file and say why in
 CHANGES.md (a report format change also bumps ``schema_version``; a
-change of values only, such as ``samples_tried``, keeps it).
+change of values only, such as ``samples_tried``, keeps it).  The
+``F_test`` records changed in value when the F-test came to share the
+f-test's sample: its first sample is the f witness's u, with only h
+drawn from the "F-test" stream, and W reduced into the f-test's echelon.
+So every F witness (u, h and w) and every F certificate's sample
+changed, while no status, sample count, certificate basis, conclusion
+or note did.
 Every record also round-trips through ``report_from_dict`` byte for byte.
 """
 

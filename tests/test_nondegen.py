@@ -2,10 +2,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steadydim.mpoly import MPoly
@@ -25,13 +26,14 @@ from steadydim.nondegen import (
     analyze_matrices,
     check_steady_state,
     derive_seed,
+    extend_by_w,
     f_test_matrix,
     generic_rank_test,
     symbolic_jacobian_F,
     symbolic_jacobian_f,
 )
 from steadydim import cli, nondegen
-from steadydim.ratmat import MODULUS, RatMatrix
+from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix, basis_mod_p
 
 from conftest import (
     NETWORK_MATRICES,
@@ -42,6 +44,7 @@ from conftest import (
     random_network,
 )
 
+DATA = Path(__file__).resolve().parent / "data"
 CALCIUM = parse_network(fixture_path("calcium.crn").read_text())
 EXAMPLE42 = parse_network(fixture_path("example42.crn").read_text())
 EXAMPLE45 = parse_network(fixture_path("example45.crn").read_text())
@@ -179,6 +182,34 @@ def test_jacobian_rows_store_only_nonzeros_and_F_ends_with_w(mats, data):
         assert all(row.values()) and list(row) == sorted(row)
         assert all(0 <= j < mats.n for j in row)
     assert F_rows[mats.s :] == [mats.w_mat.entries(i) for i in range(mats.w_mat.rows)]
+
+
+@st.composite
+def f_rows_along_w(draw) -> NetworkMatrices:
+    """from_matrices input with b = c e^T and c the first row of W: every row
+    of N diag(w) B^T = (N (w * e)) c^T is a multiple of c, so wherever f is
+    nonzero W's first row depends on f's rows, and W diag(h)^-1's need not."""
+    n, r = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    s = draw(st.integers(1, min(n - 1, r)))
+    c = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    e = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    n_mat = RatMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(s)])
+    w_mat = RatMatrix.from_rows([c] + [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n - s - 1)])
+    assume(n_mat.rank() == s and w_mat.rank() == n - s)
+    return NetworkMatrices.from_matrices(n_mat, RatMatrix.from_rows([[x * y for y in e] for x in c]), w_mat)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(mats=st.one_of(NETWORK_MATRICES.filter(lambda m: m.d >= 1), f_rows_along_w()), data=st.data())
+def test_f_echelon_extended_by_w_is_the_F_matrix_basis(mats, data):
+    # [f(u) diag(h); W] diag(h)^-1 = [f(u); W diag(h)^-1] adds leads in the
+    # same rows and has the same leads; small u (zero allowed) and h make ranks drop
+    g = mats.g
+    u_vals = data.draw(st.lists(st.integers(-2, 2), min_size=g.cols, max_size=g.cols))
+    h_vals = data.draw(st.lists(st.integers(1, 3), min_size=mats.n, max_size=mats.n))
+    extended = extend_by_w(mats, EchelonModP(f_test_matrix(mats)(u_vals, None)), h_vals)
+    assert extended.count == mats.n
+    assert extended.basis() == basis_mod_p(F_test_matrix(mats)(u_vals, h_vals))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -618,6 +649,33 @@ def test_analyze_rank_zero_system():
     assert report.F_verdict.nondegenerate  # W alone has rank n
     assert report.conclusion_f is VarietyConclusion.GENERIC_DIMENSION_N_MINUS_S
     assert any("rank 0" in note for note in report.notes)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [fixture_path(f"{name}.crn") for name in ("calcium", "example45", "example46", "weakly_reversible")]
+    + [DATA / f"{name}.crn" for name in ("chain30", "empty_cone", "fractional_rref", "p_multiple")],
+    ids=lambda p: p.stem,
+)
+def test_analyze_F_test_extends_the_f_echelon_at_the_f_witness(path, monkeypatch):
+    # the F-test's first sample is the f witness's u with h drawn, and W
+    # reduced into the f-test's echelon gives the full F matrix's basis there;
+    # p_multiple's f witness is hunted, so its echelon is reduced afresh
+    extended = []
+
+    def spy(mats, echelon, h):
+        extended.append((h, extend_by_w(mats, echelon, h).basis()))
+        return echelon
+
+    monkeypatch.setattr(nondegen, "extend_by_w", spy)
+    mats = NetworkMatrices.from_network(parse_network(path.read_text()))
+    report = analyze_matrices(mats, SamplerConfig(seed=5))
+    [(h_vals, basis)] = extended
+    assert basis == basis_mod_p(F_test_matrix(mats)(report.f_verdict.witness_u, h_vals))
+    F = report.F_verdict
+    sample = (F.witness_u, F.witness_h) if F.nondegenerate else (F.certificate.sample_u, F.certificate.sample_h)
+    if F.samples_tried == 1:  # else the verdict holds a hunted point
+        assert sample == (report.f_verdict.witness_u, h_vals)
 
 
 def test_analyze_deterministic_and_seed_sensitivity():

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 
 from steadydim.cone import positive_kernel_vector
 from steadydim.nondegen import check_steady_state
-from steadydim.ratmat import MODULUS, RatMatrix, basis_mod_p, primitive
+from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix, basis_mod_p, primitive
 
-from conftest import CALCIUM_B, CALCIUM_GAMMA, NETWORK_MATRICES, diag, dict_rows, random_rational_matrix
+from conftest import (
+    CALCIUM_B,
+    CALCIUM_GAMMA,
+    NETWORK_MATRICES,
+    basis_mod_p_scan,
+    diag,
+    dict_rows,
+    random_rational_matrix,
+)
 
 
 def identity(k: int) -> RatMatrix:
@@ -383,6 +391,35 @@ def test_basis_mod_p_is_nonsingular_over_q_when_p_divides_entries(product):
     sm = to_sympy(product)
     assert len(rows) == len(cols) <= sm.rank()
     assert sm.extract(list(rows), list(cols)).det() != 0
+
+
+@st.composite
+def modular_rows(draw) -> list[dict]:
+    """Sparse rows, some dense, of small ints, Fractions and multiples of p or 1/p."""
+    cols = draw(st.integers(0, 12))
+    value = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.sampled_from([MODULUS, -2 * MODULUS, Fraction(1, MODULUS), Fraction(MODULUS, 7)]),
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        dense = draw(st.booleans()) or not cols
+        support = range(cols) if dense else sorted(draw(st.sets(st.integers(0, cols - 1))))
+        rows.append({j: x for j in support if (x := draw(value))})
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=modular_rows())
+def test_basis_mod_p_heap_order_equals_the_min_scan(rows):
+    # the next lead comes from a heap with cancelled columns skipped: the
+    # same lead, hence the same reduction, as a scan of the row's columns
+    assert basis_mod_p(rows) == basis_mod_p_scan(rows)
+    echelon = EchelonModP()
+    for row in rows:
+        echelon.add(row)
+    assert (echelon.count, echelon.basis()) == (len(rows), basis_mod_p(rows))
 
 
 def test_rank_mod_p_is_a_lower_bound_and_flags_bad_denominators():
