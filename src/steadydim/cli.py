@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cone import ConeResult, is_cone_witness
+from .cone import ConeResult, is_cone_witness, positive_kernel_vector
 from .netmodel import NetworkMatrices, ParseError, ReactionNetwork, parse_network
 from .nondegen import (
     AnalysisReport,
@@ -156,19 +156,21 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def report_from_dict(d: dict) -> AnalysisReport:
     """The report that ``report_to_dict`` wrote, rebuilt from the fields that
-    decide it (the reactions, which give the matrices; the cone witness;
-    each sampled verdict's witnesses, certificate and sample count) and
-    written back: ValueError unless that gives ``d`` exactly, once both go
-    through JSON.  So anything that contradicts the reactions or the proofs
-    is rejected (n, r, s, d, a target rank or ``witness_w``; a status,
-    conclusion, note or ``cone.exists``; an ``F_test`` after an
-    all-degenerate f-test), as are a non-canonical rational such as "6/2",
-    an extra or missing key, another schema version, a non-int scalar and
-    a report without reactions.  A proof must have its shape: a cone
-    witness w with N w = 0 and w >= 1; a witness, or a bordering
-    certificate's sample, of r - s u values and, in the F-test only, n h
-    values, each an integer >= 1; certificate rows and columns as int lists of one length; and
-    a sample count of at least 1.  The rank at a witness and the
+    decide it (the reactions, which give the matrices; the cone witness,
+    or when it is null the cone decided again from N; each sampled
+    verdict's witnesses, certificate and sample count) and written back:
+    ValueError unless that gives ``d`` exactly, once both go through JSON.
+    So anything that contradicts the reactions or the proofs is rejected
+    (n, r, s, d, a target rank or ``witness_w``; a status, conclusion,
+    note or ``cone.exists``; an empty cone that N's kernel meets; an
+    ``F_test`` after an all-degenerate f-test), as are a non-canonical
+    rational such as "6/2", an extra or missing key, another schema
+    version, a non-int scalar and a report without reactions.  A proof
+    must have its shape: a cone witness w with N w = 0 and w >= 1; a
+    witness, or a bordering certificate's sample, of r - s u values and,
+    in the F-test only, n h values, each an integer >= 1; certificate rows
+    and columns as int lists of one length; and a sample count of at
+    least 1.  The rank at a witness and the
     certificate's minors are not checked.
     """
     try:
@@ -180,8 +182,12 @@ def report_from_dict(d: dict) -> AnalysisReport:
         mats = NetworkMatrices.from_network(network)
         f = _verdict_from_dict(d["f_test"], mats, F_test=False)
         F = _verdict_from_dict(d["F_test"], mats, F_test=True) if f.nondegenerate else implied_F_verdict(mats)
-        cone = ConeResult(_parse_frac_list(d["cone"]["witness"]))
-        if cone.exists and not is_cone_witness(mats.n_mat, cone.witness):
+        witness = _parse_frac_list(d["cone"]["witness"])
+        if witness is None:  # an empty cone has no proof to read: decide it again
+            cone = positive_kernel_vector(mats.n_mat)
+        elif is_cone_witness(mats.n_mat, witness):
+            cone = ConeResult(witness)
+        else:
             raise ValueError("the cone witness is not a kernel vector of N with every entry >= 1")
         report = AnalysisReport(network, mats, cone, f, F)
         if json.dumps(report_to_dict(report), sort_keys=True) != json.dumps(d, sort_keys=True):

@@ -13,18 +13,19 @@ Jacobian at an explicit point, come from one routine, ``jacobian``, which
 sums the nonzero products N[i,k] B[j,k] (collected once per network)
 against numbers or polynomials alike into sparse rows, one dict
 {column: nonzero entry} per row, so a sample costs time in its nonzeros,
-not in s x n.  Each target rank is tested first at one random integer
-point, straight from the integer matrices: one forward pass modulo the
-prime 2^61 - 1 gives a submatrix that is nonsingular modulo p, hence
-over Q, so a sample whose submatrix reaches the target is a proven
-witness.  The two tests share that point's u: the F matrix at (u, h) is
-the f matrix at u with column j times h_j, and W below it, so the F-test
-takes the f witness's u, draws only h, and adds the d rows of
-W diag(h)^-1 to the f-test's echelon modulo p, which gives the rows and
-leads of the whole F matrix at (u, h) (a hunted f witness is reduced
-afresh).  Only when a sample falls short is the polynomial matrix
-built, in the same sparse rows with MPoly entries, over the variables u_t (index t) and h_j
-(index u_dim + j).  The sample's rank modulo p, rho, gives a nonsingular
+not in s x n.  ``analyze_matrices`` tests each target rank first at one
+random integer point, straight from the integer matrices: one forward
+pass modulo the prime 2^61 - 1 gives a submatrix that is nonsingular
+modulo p, hence over Q, so a sample whose submatrix reaches the target
+is a proven witness.  The two tests share that point's u: the F matrix
+at (u, h) is the f matrix at u with column j times h_j, and W below it,
+so the F-test takes the f witness's u, draws only h, and adds the d rows
+of W diag(h)^-1 to the f-test's echelon modulo p, which gives the rows
+and leads of the whole F matrix at (u, h) (a hunted f witness is reduced
+afresh).  ``generic_rank_test`` takes that sample and its echelon; only
+when the sample falls short is the polynomial matrix built, in the same
+sparse rows with MPoly entries, over the variables u_t (index t) and h_j
+(index len(u) + j).  The sample's rank modulo p, rho, gives a nonsingular
 rho x rho submatrix; its bordering (rho+1)-minors, each decided from the
 blocks of that submatrix, either all vanish, which proves the rank is
 rho everywhere (Kronecker's theorem; that submatrix and the sample are
@@ -77,10 +78,10 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Settings of the randomized rank test, which draws one sample first,
-    components from [-H, H] (u, zero excluded) or [1, H] (h),
-    H = ``_SAMPLE_BOUND``; in ``analyze_matrices`` the F-test's first
-    sample is the f witness's u with only h drawn.
+    """Settings of ``analyze_matrices``'s rank tests.  It draws each test's
+    first sample, components from [-H, H] (u, zero excluded) or [1, H]
+    (h), H = ``_SAMPLE_BOUND`` (the F-test's u is the f witness's), and
+    ``generic_rank_test`` hunts from the same stream.
 
     seed: base RNG seed; every derived stream is a pure function of it.
     hard_cap: optional absolute cap on minor-hunt samples (off by default;
@@ -315,13 +316,6 @@ def _sample_point(rng: random.Random, bound: int, u_dim: int, h_dim: Optional[in
     return tuple(u_vals), h_vals
 
 
-# A rank test's first sample, drawn with its rng: (u, h, echelon), the
-# echelon modulo p of the matrix at (u, h), its rows in order; a column may
-# be scaled by a nonzero number, the same in every row, which changes
-# neither the rows that add a lead nor the leads.
-FirstSample = Callable[[random.Random], tuple[tuple[int, ...], Optional[tuple[int, ...]], EchelonModP]]
-
-
 def extend_by_w(mats: NetworkMatrices, echelon: EchelonModP, h: Sequence[int]) -> EchelonModP:
     """The F matrix's echelon at (u, h) from the f matrix's at u, extended in place.
 
@@ -346,60 +340,52 @@ def extend_by_w(mats: NetworkMatrices, echelon: EchelonModP, h: Sequence[int]) -
 def generic_rank_test(
     matrix: MatrixFn,
     target: int,
-    cfg: SamplerConfig | None = None,
+    u: tuple[int, ...],
+    h: Optional[tuple[int, ...]],
+    echelon: EchelonModP,
+    rng: random.Random,
     *,
-    u_dim: int,
-    h_dim: Optional[int] = None,
     cols: int,
-    rng: Optional[random.Random] = None,
-    first: Optional[FirstSample] = None,
+    hard_cap: Optional[int] = None,
 ) -> GenericRankVerdict:
     """Decide whether the matrix ``matrix(u, h)`` has rank >= ``target`` somewhere.
 
-    ``matrix`` maps u (length ``u_dim``) and h (length ``h_dim``, or None)
-    to its rows, each a dict {column: nonzero entry} over the columns
-    0..``cols``-1, for numbers and for MPolys alike: a sample is the
-    matrix at integer u and h, and the polynomial matrix is the same
-    function at the variables u1.., h1...
+    ``matrix`` maps u and h (or None) to its rows, each a dict {column:
+    nonzero entry} over the columns 0..``cols``-1, for numbers and for
+    MPolys alike: a sample is the matrix at integer u and h, and the
+    polynomial matrix is the same function at the variables u1.., h1...
 
-    One sample first, with one forward pass modulo the prime
-    ``ratmat.MODULUS``, an ``EchelonModP``: rows R and columns C of a
-    submatrix that is nonsingular over Q.  ``first``, when given, draws
-    that sample and its echelon (``analyze_matrices`` gives the F-test
-    the f-test's echelon extended by W); by default u and h are drawn and
-    the matrix there is reduced.  If ``len(R) >= target`` the sample is
-    the witness.  Otherwise the polynomial matrix is built, and
-    while the basis (R, C), of size rho, falls short of the target, only
-    the minors bordering it are decided symbolically:
+    The caller's first sample is the integer point (``u``, ``h``), whose
+    lengths are the numbers of variables, and ``echelon`` is the matrix
+    there after one forward pass modulo the prime ``ratmat.MODULUS``, its
+    rows in order (a column may be scaled by a nonzero number, the same
+    in every row, which changes neither the rows that add a lead nor the
+    leads): rows R and columns C of a submatrix that is nonsingular over
+    Q.  If ``len(R) >= target`` the sample is the witness.  Otherwise the
+    polynomial matrix is built, and while the basis (R, C), of size rho,
+    falls short of the target, only the minors bordering it are decided
+    symbolically:
 
       * all zero: the rank is rho over Q(u, h); AllDegenerate, with a
         ``BorderingCertificate`` of (R, C) and its sample;
-      * one nonzero: it is sampled until it evaluates nonzero (doubling the
-        sample bound whenever a round of ``_PIT_BUDGET`` samples is
-        exhausted), a point of rank at least rho + 1.  If rho + 1 reaches the
-        target that point is the witness; otherwise the minor and that point
-        are the next basis and sample, so the loop runs at most
-        target - rho rounds.
+      * one nonzero: it is sampled from ``rng`` until it evaluates nonzero
+        (doubling the sample bound whenever a round of ``_PIT_BUDGET``
+        samples is exhausted), a point of rank at least rho + 1.  If
+        rho + 1 reaches the target that point is the witness; otherwise
+        the minor and that point are the next basis and sample, so the
+        loop runs at most target - rho rounds.
 
     ``samples_tried`` is 1 plus the hunted samples, which alone count
     toward ``hard_cap``.  A witness is an integer point at which the exact
     rank of the evaluated matrix is at least ``target``.  A negative
-    target raises ValueError, and so does one above min(rows, cols) once
-    the first sample has shown the matrix's shape.
+    target raises ValueError, and so does one above min(rows, cols), the
+    rows being those added to ``echelon``.
     """
-    if target < 0:
-        raise ValueError(f"negative target rank {target}")
-    cfg = cfg or SamplerConfig()
-    rng = rng or random.Random(cfg.seed)
+    if not 0 <= target <= min(echelon.count, cols):
+        raise ValueError(f"target rank {target} out of range for {echelon.count}x{cols}")
+    u_dim, h_dim = len(u), None if h is None else len(h)
     bound = _SAMPLE_BOUND
     hunted = 0
-    if first is None:
-        u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
-        echelon = EchelonModP(matrix(u_vals, h_vals))
-    else:
-        u_vals, h_vals, echelon = first(rng)
-    if target > min(echelon.count, cols):
-        raise ValueError(f"target rank {target} out of range for {echelon.count}x{cols}")
     basis = echelon.basis()
     symbolic = _symbolic(matrix, u_dim, h_dim) if len(basis[0]) < target else None
     while len(basis[0]) < target:
@@ -407,28 +393,28 @@ def generic_rank_test(
         if vanish:
             return GenericRankVerdict(
                 target_rank=target,
-                certificate=BorderingCertificate(*basis, u_vals, h_vals),
+                certificate=BorderingCertificate(*basis, u, h),
                 samples_tried=1 + hunted,
             )
         # sample until the minor is nonzero, a point of rank at least its
         # size; the bound doubles after each round of _PIT_BUDGET samples
         for tries in itertools.count(1):
-            if cfg.hard_cap is not None and hunted >= cfg.hard_cap:
+            if hard_cap is not None and hunted >= hard_cap:
                 raise BudgetExhausted(
                     f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
-                    f"within {cfg.hard_cap} samples"
+                    f"within {hard_cap} samples"
                 )
-            u_vals, h_vals = _sample_point(rng, bound, u_dim, h_dim)
+            u, h = _sample_point(rng, bound, u_dim, h_dim)
             hunted += 1
-            if witness.poly.eval(u_vals + (h_vals or ())):
+            if witness.poly.eval(u + (h or ())):
                 break
             if tries % _PIT_BUDGET == 0:
                 bound *= 2
         basis = (witness.rows, witness.cols)
     return GenericRankVerdict(
         target_rank=target,
-        witness_u=u_vals,
-        witness_h=h_vals,
+        witness_u=u,
+        witness_h=h,
         samples_tried=1 + hunted,
     )
 
@@ -508,40 +494,33 @@ def analyze_matrices(
     ``mats`` that computes the rest from them.
 
     The rank tests run whether or not the positive kernel cone is empty.
-    The F-test's first sample is the f witness's u with h drawn from the
-    "F-test" stream, and its echelon is the f-test's extended by W
-    (``extend_by_w``).  After an AllDegenerate f-test the F verdict is
-    ``implied_F_verdict``.
+    Each test's first sample is drawn here, from the stream that
+    ``derive_seed`` labels "f-test" or "F-test", and its hunt continues
+    from that stream.  The f-test draws u and reduces the f matrix there
+    modulo p.  The F-test's sample is the f witness's u with only h
+    drawn, and its echelon is the f-test's (reduced afresh when the
+    witness was hunted) extended by W (``extend_by_w``).  After an
+    AllDegenerate f-test the F verdict is ``implied_F_verdict``.
     Without ``network`` the report cannot be read back by
     ``cli.report_from_dict``, which derives the matrices from the reactions.
     """
     cfg = cfg or SamplerConfig()
     cone = positive_kernel_vector(mats.n_mat)
-    u_dim = mats.g.cols
-
-    def rank_test(matrix: MatrixFn, target: int, label: str, first: FirstSample, h_dim=None):
-        rng = random.Random(derive_seed(cfg.seed, label))
-        return generic_rank_test(matrix, target, cfg, u_dim=u_dim, h_dim=h_dim, cols=mats.n, rng=rng, first=first)
-
     f_matrix = f_test_matrix(mats)
-    f_echelon = None  # of the f-test's first sample
-
-    def f_sample(rng: random.Random):
-        nonlocal f_echelon
-        u_vals, _ = _sample_point(rng, _SAMPLE_BOUND, u_dim, None)
-        f_echelon = EchelonModP(f_matrix(u_vals, None))
-        return u_vals, None, f_echelon
-
-    def F_sample(rng: random.Random):
-        # the f witness's u, and only h drawn; a hunted witness was never reduced
-        u_vals = f_verdict.witness_u
-        _, h_vals = _sample_point(rng, _SAMPLE_BOUND, 0, mats.n)
-        echelon = f_echelon if f_verdict.samples_tried == 1 else EchelonModP(f_matrix(u_vals, None))
-        return u_vals, h_vals, extend_by_w(mats, echelon, h_vals)
-
-    f_verdict = rank_test(f_matrix, mats.s, "f-test", f_sample)
-    if f_verdict.nondegenerate:
-        F_verdict = rank_test(F_test_matrix(mats), mats.n, "F-test", F_sample, mats.n)
-    else:
-        F_verdict = implied_F_verdict(mats)
+    rng = random.Random(derive_seed(cfg.seed, "f-test"))
+    u_vals, _ = _sample_point(rng, _SAMPLE_BOUND, mats.g.cols, None)
+    echelon = EchelonModP(f_matrix(u_vals, None))
+    f_verdict = generic_rank_test(f_matrix, mats.s, u_vals, None, echelon, rng, cols=mats.n, hard_cap=cfg.hard_cap)
+    if not f_verdict.nondegenerate:
+        return AnalysisReport(network, mats, cone, f_verdict, implied_F_verdict(mats))
+    # the f witness's u, and only h drawn; a hunted witness was never reduced
+    rng = random.Random(derive_seed(cfg.seed, "F-test"))
+    u_vals = f_verdict.witness_u
+    _, h_vals = _sample_point(rng, _SAMPLE_BOUND, 0, mats.n)
+    if f_verdict.samples_tried > 1:
+        echelon = EchelonModP(f_matrix(u_vals, None))
+    echelon = extend_by_w(mats, echelon, h_vals)
+    F_verdict = generic_rank_test(
+        F_test_matrix(mats), mats.n, u_vals, h_vals, echelon, rng, cols=mats.n, hard_cap=cfg.hard_cap
+    )
     return AnalysisReport(network, mats, cone, f_verdict, F_verdict)

@@ -19,12 +19,12 @@ right kernel and row-space bases too.
 Matrices are immutable after construction, so values can be shared
 freely across threads; each one keeps its elimination once computed.
 
-``basis_mod_p`` runs the same forward pass modulo the prime ``MODULUS``
-on a matrix of ints and Fractions, given as the same sparse rows, and
-returns the rows and the leads of a submatrix that is nonsingular
-modulo p, hence over Q: a proof that the rational rank is at least its
-size, with no rational arithmetic.  ``EchelonModP`` is that pass one
-row at a time, so a caller can extend it by more rows.
+``EchelonModP`` runs the same forward pass modulo the prime ``MODULUS``
+on a matrix of ints and Fractions, given as the same sparse rows, one
+row at a time, so a caller can extend it by more rows; its ``basis``
+is the rows and the leads of a submatrix that is nonsingular modulo p,
+hence over Q: a proof that the rational rank is at least its size, with
+no rational arithmetic.
 
 Basis vectors are primitive integer vectors, to keep downstream
 coefficients small.
@@ -418,13 +418,14 @@ def divide_content(row: dict[int, int]) -> int:
 
 
 class EchelonModP:
-    """The forward pass of ``basis_mod_p``, one row at a time, so that more
-    rows can extend it.
+    """A forward pass modulo ``MODULUS`` over a matrix given as sparse rows,
+    one row at a time, so that more rows can extend it.
 
     ``add`` scales a row, a dict {column: int or Fraction}, by the lcm of
-    its denominators and reduces it modulo ``MODULUS`` against the earlier
-    independent rows whose lead (first nonzero column) it meets, until its
-    own lead is new or nothing is left, so the work follows the nonzeros.
+    its denominators, so it is integral, and reduces it modulo ``MODULUS``
+    against the earlier independent rows whose lead (first nonzero column)
+    it meets, until its own lead is new or nothing is left, so the work
+    follows the nonzeros.
     Its next lead comes from a heap of its columns: a column that cancels
     stays in the heap and is skipped when it comes up, and one that fills
     in is pushed, so a dense row is not scanned at every step.  ``count``
@@ -468,21 +469,10 @@ class EchelonModP:
         self.count += 1
 
     def basis(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(R, C)``: the rows that added a new lead, in order, and the leads, ascending."""
+        """``(R, C)``: the rows that added a new lead, in order, and the leads,
+        ascending.  ``A[R, C]``, for A the matrix of the rows added, scaled
+        to integers, has a determinant nonzero modulo p, hence nonzero over
+        Q: it is nonsingular, and ``len(R)`` is the rank modulo p, which
+        never exceeds the rational rank."""
         return tuple(self._rows), tuple(sorted(self._leads))
 
-
-def basis_mod_p(rows: Sequence[Mapping[int, Rational]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(R, C)``: a nonsingular submatrix modulo ``MODULUS`` of a matrix
-    given as sparse rows, of size the rank modulo p.
-
-    Each row is a dict {column: int or Fraction}; it is first scaled by
-    the lcm of its denominators.  The rows are then reduced in order by
-    ``EchelonModP``, each against the earlier independent rows whose lead
-    (first nonzero column) it meets, until its own lead is new or nothing
-    is left.  R is the rows that added a new lead, in order, and C the
-    leads, ascending.  The scaled rows are integers, so a determinant of
-    ``A[R, C]`` nonzero modulo p is nonzero over Q: ``A[R, C]`` is
-    nonsingular, and ``len(R)`` never exceeds the rational rank.
-    """
-    return EchelonModP(rows).basis()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from steadydim.mpoly import MinorWitness, MPoly, det
 from steadydim.netmodel import NetworkMatrices
-from steadydim.ratmat import MODULUS, RatMatrix
+from steadydim.nondegen import _SAMPLE_BOUND, _sample_point, generic_rank_test
+from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -60,6 +61,17 @@ def dict_rows(rows) -> list[dict]:
     ``lambda u, h: dict_rows([[...]])``.
     """
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def sampled_rank_test(matrix, target, rng, *, u_dim: int, h_dim=None, cols: int, hard_cap=None):
+    """``generic_rank_test`` from a first sample drawn as ``analyze_matrices``
+    draws one: (u, h) by ``_sample_point`` from ``rng`` (an int seeds a
+    ``random.Random``), and the matrix there reduced modulo p.  The hunt
+    continues from ``rng``."""
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    u, h = _sample_point(rng, _SAMPLE_BOUND, u_dim, h_dim)
+    return generic_rank_test(matrix, target, u, h, EchelonModP(matrix(u, h)), rng, cols=cols, hard_cap=hard_cap)
 
 
 def random_rational_matrix(rng: random.Random, max_dim: int = 6, max_num: int = 9) -> RatMatrix:
@@ -159,8 +171,8 @@ def all_minors_scan(rows, ncols: int, k: int):
 
 
 def basis_mod_p_scan(rows):
-    """``ratmat.basis_mod_p`` with each row's next lead found by a ``min``
-    scan of its columns at every step (test oracle for the heap order)."""
+    """``EchelonModP(rows).basis()`` with each row's next lead found by a
+    ``min`` scan of its columns at every step (test oracle for the heap order)."""
     p = MODULUS
     leads = {}
     basis_rows = []

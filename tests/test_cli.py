@@ -260,6 +260,12 @@ def test_report_from_dict_rejects_a_mistyped_value(tamper):
         cli.report_from_dict(bad)
 
 
+def _empty_cone(d):
+    # the cone, conclusions and note of a report whose cone is empty, as empty_cone's record has them
+    empty = GOLDEN_RECORDS["tests/data/empty_cone.crn", 0]
+    d.update(cone=empty["cone"], conclusions=empty["conclusions"], notes=empty["notes"])
+
+
 def _shift_s(d, by):
     # s, d and the f-test's target moved together, consistent with each other but not with the reactions
     d["network"].update(s=d["network"]["s"] + by, d=d["network"]["d"] - by)
@@ -301,6 +307,8 @@ def _shift_s(d, by):
         ("calcium", lambda d: d["cone"].update(witness=[])),
         ("calcium", lambda d: d["cone"].update(witness=["1"] * 6)),
         ("calcium", lambda d: d["cone"].update(witness=["1/2", "1/2", "1/2", "1", "1/2", "1/2"])),
+        # an empty cone is decided again: calcium's holds (1, 1, 1, 2, 1, 1)
+        ("calcium", _empty_cone),
     ],
     ids=[
         "status_without_certificate",
@@ -329,6 +337,7 @@ def _shift_s(d, by):
         "cone_witness_empty",
         "cone_witness_not_in_kernel",
         "cone_witness_below_1",
+        "cone_empty_with_a_positive_kernel_vector",
     ],
 )
 def test_report_from_dict_rejects_what_report_to_dict_would_not_write(record, tamper):

@@ -33,7 +33,7 @@ from steadydim.nondegen import (
     symbolic_jacobian_f,
 )
 from steadydim import cli, nondegen
-from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix, basis_mod_p
+from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix
 
 from conftest import (
     NETWORK_MATRICES,
@@ -42,6 +42,7 @@ from conftest import (
     dict_rows,
     fixture_path,
     random_network,
+    sampled_rank_test,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -209,7 +210,7 @@ def test_f_echelon_extended_by_w_is_the_F_matrix_basis(mats, data):
     h_vals = data.draw(st.lists(st.integers(1, 3), min_size=mats.n, max_size=mats.n))
     extended = extend_by_w(mats, EchelonModP(f_test_matrix(mats)(u_vals, None)), h_vals)
     assert extended.count == mats.n
-    assert extended.basis() == basis_mod_p(F_test_matrix(mats)(u_vals, h_vals))
+    assert extended.basis() == EchelonModP(F_test_matrix(mats)(u_vals, h_vals)).basis()
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -234,7 +235,7 @@ def test_generic_rank_constant_identity():
     def ident(u, h):
         return dict_rows([[1 if i == j else 0 for j in range(3)] for i in range(3)])
 
-    verdict = generic_rank_test(ident, 3, SamplerConfig(seed=1), u_dim=0, cols=3)
+    verdict = sampled_rank_test(ident, 3, 1, u_dim=0, cols=3)
     assert verdict.status is RankTestStatus.NONDEGENERATE_EXISTS
     assert verdict.samples_tried == 1
     assert verdict.witness_u == ()
@@ -242,7 +243,7 @@ def test_generic_rank_constant_identity():
 
 def test_generic_rank_quadratic_network():
     mats = NetworkMatrices.from_network(EXAMPLE46)
-    verdict = generic_rank_test(f_test_matrix(mats), mats.s, SamplerConfig(seed=3), u_dim=2, cols=mats.n)
+    verdict = sampled_rank_test(f_test_matrix(mats), mats.s, 3, u_dim=2, cols=mats.n)
     assert verdict.nondegenerate
     assert len(verdict.witness_u) == 2
     assert verdict.witness_h is None
@@ -270,15 +271,13 @@ def test_generic_rank_samples_build_no_polynomials(monkeypatch):
         raise AssertionError("MPoly built while sampling")
 
     monkeypatch.setattr(MPoly, "__init__", refuse)
-    verdict = generic_rank_test(
-        F_test_matrix(mats), mats.n, SamplerConfig(seed=11), u_dim=g.cols, h_dim=mats.n, cols=mats.n
-    )
+    verdict = sampled_rank_test(F_test_matrix(mats), mats.n, 11, u_dim=g.cols, h_dim=mats.n, cols=mats.n)
     assert verdict.nondegenerate
 
 
 def test_generic_rank_all_degenerate_with_certificate():
     mats = NetworkMatrices.from_network(EXAMPLE42)
-    verdict = generic_rank_test(f_test_matrix(mats), mats.s, SamplerConfig(seed=4), u_dim=1, cols=mats.n)
+    verdict = sampled_rank_test(f_test_matrix(mats), mats.s, 4, u_dim=1, cols=mats.n)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.witness_u is None
     assert verdict.certificate is not None
@@ -296,7 +295,7 @@ def test_generic_rank_minor_hunt_path():
     # minor scan finds it nonzero and the hunt locates a witness
     matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
     rng = ScriptedRng([1, -1, 2, 3])
-    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=0), u_dim=2, cols=1, rng=rng)
+    verdict = sampled_rank_test(matrix, 1, rng, u_dim=2, cols=1)
     assert verdict.nondegenerate
     assert verdict.samples_tried == 2
     assert verdict.witness_u == (2, 3)
@@ -314,7 +313,7 @@ def test_generic_rank_bordering_grows_then_hunts(monkeypatch):
     )
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, u[2] - 1]])
     rng = ScriptedRng([2, 1, 1, 1, 1, 1, 2, 2, 1, 3, 3, 3])
-    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=3, cols=3, rng=rng)
+    verdict = sampled_rank_test(matrix, 3, rng, u_dim=3, cols=3)
     assert verdict.nondegenerate
     assert verdict.witness_u == (3, 3, 3)
     assert verdict.samples_tried == 4
@@ -327,7 +326,7 @@ def test_generic_rank_bordering_grows_then_certifies():
     # grows the basis at the hunted point (2,2) and certifies from there
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
     rng = ScriptedRng([2, 1, 2, 2])
-    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=rng)
+    verdict = sampled_rank_test(matrix, 3, rng, u_dim=2, cols=3)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE
     assert verdict.samples_tried == 2
     assert verdict.certificate == BorderingCertificate((0, 1), (0, 1), (2, 2), None)
@@ -341,9 +340,7 @@ def test_generic_rank_certificate_basis_needs_no_extra_elimination(monkeypatch):
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
-    verdict = generic_rank_test(
-        matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 1, 2, 2])
-    )
+    verdict = sampled_rank_test(matrix, 3, ScriptedRng([2, 1, 2, 2]), u_dim=2, cols=3)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 2
     assert eliminated == []
 
@@ -355,7 +352,7 @@ def test_generic_rank_certificate_from_equal_samples_eliminates_once(monkeypatch
     real_eliminate = RatMatrix._eliminate
     monkeypatch.setattr(RatMatrix, "_eliminate", lambda self: eliminated.append(self) or real_eliminate(self))
     matrix = lambda u, h: dict_rows([[u[0] - 1, 0, 0], [0, u[1] - 1, 0], [0, 0, 0]])
-    verdict = generic_rank_test(matrix, 3, SamplerConfig(seed=0), u_dim=2, cols=3, rng=ScriptedRng([2, 2]))
+    verdict = sampled_rank_test(matrix, 3, ScriptedRng([2, 2]), u_dim=2, cols=3)
     assert verdict.status is RankTestStatus.ALL_DEGENERATE and verdict.samples_tried == 1
     assert verdict.certificate == BorderingCertificate((0, 1), (0, 1), (2, 2), None)
     assert eliminated == []
@@ -385,26 +382,50 @@ def test_sample_rank_and_profile_run_no_back_substitution(monkeypatch):
 def test_generic_rank_budget_exhausted():
     matrix = lambda u, h: dict_rows([[u[0] + u[1]]])
     rng = ScriptedRng([1, -1])
-    cfg = SamplerConfig(seed=0, hard_cap=7)
     with pytest.raises(BudgetExhausted):
-        generic_rank_test(matrix, 1, cfg, u_dim=2, cols=1, rng=rng)
+        sampled_rank_test(matrix, 1, rng, u_dim=2, cols=1, hard_cap=7)
 
 
 def test_generic_rank_target_out_of_range():
     with pytest.raises(ValueError):
-        generic_rank_test(lambda u, h: dict_rows([[u[0]]]), 2, SamplerConfig(), u_dim=1, cols=1)
+        sampled_rank_test(lambda u, h: dict_rows([[u[0]]]), 2, 0, u_dim=1, cols=1)
     with pytest.raises(ValueError):
-        generic_rank_test(lambda u, h: dict_rows([[u[0]]]), -1, SamplerConfig(), u_dim=1, cols=1)
+        sampled_rank_test(lambda u, h: dict_rows([[u[0]]]), -1, 0, u_dim=1, cols=1)
 
 
 def test_generic_rank_target_below_the_generic_rank():
     # a witness needs rank >= target, not equal: the first sample decides
-    verdict = generic_rank_test(lambda u, h: dict_rows([[u[0]]]), 0, SamplerConfig(seed=1), u_dim=1, cols=1)
+    verdict = sampled_rank_test(lambda u, h: dict_rows([[u[0]]]), 0, 1, u_dim=1, cols=1)
     assert verdict.nondegenerate and verdict.samples_tried == 1
     matrix = lambda u, h: dict_rows([[u[0], 0, 0], [0, u[1], 0], [0, 0, 0]])
-    verdict = generic_rank_test(matrix, 1, SamplerConfig(seed=1), u_dim=2, cols=3)
+    verdict = sampled_rank_test(matrix, 1, 1, u_dim=2, cols=3)
     assert verdict.nondegenerate and verdict.samples_tried == 1
 
+
+
+def test_generic_rank_is_decided_by_the_given_echelon(monkeypatch):
+    # the caller's echelon stands for the matrix at (u, h): an echelon at the
+    # target is the witness with no evaluation, and one short of it is the
+    # first basis bordered; the matrix is only ever called at the variables
+    def symbolic_only(u, h):
+        if not all(isinstance(x, MPoly) for x in u + h):
+            raise AssertionError("matrix evaluated at a number")
+        return [{0: u[0]}, {1: u[1] * h[1]}]
+
+    u_vals, h_vals = (3, 4), (5, 6)
+    full = EchelonModP(dict_rows([[1, 0], [0, 1]]))
+    verdict = generic_rank_test(symbolic_only, 2, u_vals, h_vals, full, random.Random(0), cols=2)
+    assert (verdict.witness_u, verdict.witness_h, verdict.samples_tried) == (u_vals, h_vals, 1)
+
+    rounds = []
+    real_all_minors_zero = nondegen.all_minors_zero
+    monkeypatch.setattr(
+        nondegen, "all_minors_zero", lambda *args, **kw: rounds.append(args) or real_all_minors_zero(*args, **kw)
+    )
+    short = EchelonModP(dict_rows([[1, 0], [2, 0]]))
+    verdict = generic_rank_test(symbolic_only, 2, u_vals, h_vals, short, random.Random(0), cols=2)
+    assert verdict.nondegenerate and verdict.samples_tried == 2
+    assert [basis for _, _, basis in rounds] == [short.basis()] == [((0,), (0,))]
 
 # -- the modular shortcut ------------------------------------------------------
 
@@ -437,9 +458,8 @@ def test_modular_shortcut_never_returns_a_wrong_witness(data):
             for i in range(rows)
         ]
 
-    verdict = generic_rank_test(
-        lambda u, h: dict_rows(dense(u)), target, SamplerConfig(seed=data.draw(st.integers(0, 99))),
-        u_dim=inner, cols=cols,
+    verdict = sampled_rank_test(
+        lambda u, h: dict_rows(dense(u)), target, data.draw(st.integers(0, 99)), u_dim=inner, cols=cols
     )
     if verdict.nondegenerate:
         assert _exact_rank(dense(verdict.witness_u)) >= target
@@ -460,14 +480,10 @@ def test_modular_shortcut_falls_back_when_the_rank_mod_p_falls_short():
     # every entry is a multiple of p, so the rank mod p is 0 < 1 = the exact
     # rank: the first sample falls short, and the hunted 1 x 1 minor is the
     # second sample
-    verdict = generic_rank_test(
-        lambda u, h: dict_rows([[MODULUS * u[0]]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
-    )
+    verdict = sampled_rank_test(lambda u, h: dict_rows([[MODULUS * u[0]]]), 1, 2, u_dim=1, cols=1)
     assert verdict.nondegenerate and verdict.samples_tried == 2
     # a row over p is scaled by p first, so its rank mod p is 1
-    verdict = generic_rank_test(
-        lambda u, h: dict_rows([[Fraction(u[0], MODULUS)]]), 1, SamplerConfig(seed=2), u_dim=1, cols=1
-    )
+    verdict = sampled_rank_test(lambda u, h: dict_rows([[Fraction(u[0], MODULUS)]]), 1, 2, u_dim=1, cols=1)
     assert verdict.nondegenerate and verdict.samples_tried == 1
 
 
@@ -477,9 +493,7 @@ def test_modular_shortcut_needs_the_full_rank_target():
     # the second sample.  Either way the witness's exact rank is 2
     dense = lambda u: [[MODULUS * u[0], 0, 0], [0, u[1], 0], [0, 0, 0]]
     for target, samples in ((1, 1), (2, 2)):
-        verdict = generic_rank_test(
-            lambda u, h: dict_rows(dense(u)), target, SamplerConfig(seed=2), u_dim=2, cols=3
-        )
+        verdict = sampled_rank_test(lambda u, h: dict_rows(dense(u)), target, 2, u_dim=2, cols=3)
         assert verdict.nondegenerate and verdict.samples_tried == samples
         assert _exact_rank(dense(verdict.witness_u)) == 2 >= target
 
@@ -492,12 +506,12 @@ def test_generic_rank_scaling_invariance():
         g = mats.g
         scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(g.cols)]
         matrix = f_test_matrix(mats)
-        v1 = generic_rank_test(matrix, mats.s, SamplerConfig(seed=5), u_dim=g.cols, cols=mats.n)
+        v1 = sampled_rank_test(matrix, mats.s, 5, u_dim=g.cols, cols=mats.n)
         # G diag(scales) u = G (scales * u): scaling G's columns is scaling u
-        v2 = generic_rank_test(
+        v2 = sampled_rank_test(
             lambda u, h: matrix([x * c for x, c in zip(u, scales)], h),
             mats.s,
-            SamplerConfig(seed=6),
+            6,
             u_dim=g.cols,
             cols=mats.n,
         )
@@ -671,12 +685,34 @@ def test_analyze_F_test_extends_the_f_echelon_at_the_f_witness(path, monkeypatch
     mats = NetworkMatrices.from_network(parse_network(path.read_text()))
     report = analyze_matrices(mats, SamplerConfig(seed=5))
     [(h_vals, basis)] = extended
-    assert basis == basis_mod_p(F_test_matrix(mats)(report.f_verdict.witness_u, h_vals))
+    assert basis == EchelonModP(F_test_matrix(mats)(report.f_verdict.witness_u, h_vals)).basis()
     F = report.F_verdict
     sample = (F.witness_u, F.witness_h) if F.nondegenerate else (F.certificate.sample_u, F.certificate.sample_h)
     if F.samples_tried == 1:  # else the verdict holds a hunted point
         assert sample == (report.f_verdict.witness_u, h_vals)
 
+
+
+@pytest.mark.parametrize(
+    "path, adds",
+    [
+        (DATA / "chain30.crn", 30),  # s + d: the f witness is the first sample
+        (fixture_path("calcium.crn"), 4),
+        (DATA / "p_multiple.crn", 3),  # 2s + d: the f witness was hunted
+        (fixture_path("example42.crn"), 3),  # s: the f-test is all-degenerate
+    ],
+    ids=lambda x: x.stem if isinstance(x, Path) else str(x),
+)
+def test_analyze_reduces_each_row_of_the_shared_sample_once(path, adds, monkeypatch):
+    # the F-test reduces only W's d rows into the f-test's echelon; the f
+    # matrix is reduced again only at a hunted f witness
+    added = []
+    real_add = EchelonModP.add
+    monkeypatch.setattr(EchelonModP, "add", lambda self, row: added.append(row) or real_add(self, row))
+    mats = NetworkMatrices.from_network(parse_network(path.read_text()))
+    f = analyze_matrices(mats, SamplerConfig(seed=5)).f_verdict
+    expected = mats.s if not f.nondegenerate else mats.s * (1 + (f.samples_tried > 1)) + mats.d
+    assert len(added) == expected == adds
 
 def test_analyze_deterministic_and_seed_sensitivity():
     r1 = analyze(CALCIUM, SamplerConfig(seed=42))
@@ -713,9 +749,9 @@ def test_generic_rank_matches_sympy_symbolic_rank():
         g = mats.g
         jac_f = symbolic_jacobian_f(mats)
         jac_F = symbolic_jacobian_F(mats)
-        cfg = SamplerConfig(seed=rng.randint(0, 2**32))
-        vf = generic_rank_test(f_test_matrix(mats), mats.s, cfg, u_dim=g.cols, cols=mats.n)
-        vF = generic_rank_test(F_test_matrix(mats), mats.n, cfg, u_dim=g.cols, h_dim=mats.n, cols=mats.n)
+        seed = rng.randint(0, 2**32)
+        vf = sampled_rank_test(f_test_matrix(mats), mats.s, seed, u_dim=g.cols, cols=mats.n)
+        vF = sampled_rank_test(F_test_matrix(mats), mats.n, seed, u_dim=g.cols, h_dim=mats.n, cols=mats.n)
         assert vf.nondegenerate == (_sympy_generic_rank(jac_f, mats.n, g.cols) == mats.s)
         assert vF.nondegenerate == (_sympy_generic_rank(jac_F, mats.n, g.cols + mats.n) == mats.n)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steadydim.cone import positive_kernel_vector
 from steadydim.nondegen import check_steady_state
-from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix, basis_mod_p, primitive
+from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix, primitive
 
 from conftest import (
     CALCIUM_B,
@@ -378,7 +378,7 @@ def test_rank_mod_p_equals_exact_rank_on_low_rank_products(m, product):
     # pivots of the transpose's RREF) and C the pivot columns
     for a in (m, product):
         sm = to_sympy(a)
-        assert basis_mod_p(sparse_rows(a)) == (tuple(sm.T.rref()[1]), tuple(sm.rref()[1]))
+        assert EchelonModP(sparse_rows(a)).basis() == (tuple(sm.T.rref()[1]), tuple(sm.rref()[1]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -387,7 +387,7 @@ def test_basis_mod_p_is_nonsingular_over_q_when_p_divides_entries(product):
     # a row times p vanishes modulo p, and a row over p is scaled by p first,
     # so the rank mod p may fall short of the exact rank: the submatrix is
     # still nonsingular over Q
-    rows, cols = basis_mod_p(sparse_rows(product))
+    rows, cols = EchelonModP(sparse_rows(product)).basis()
     sm = to_sympy(product)
     assert len(rows) == len(cols) <= sm.rank()
     assert sm.extract(list(rows), list(cols)).det() != 0
@@ -415,20 +415,20 @@ def modular_rows(draw) -> list[dict]:
 def test_basis_mod_p_heap_order_equals_the_min_scan(rows):
     # the next lead comes from a heap with cancelled columns skipped: the
     # same lead, hence the same reduction, as a scan of the row's columns
-    assert basis_mod_p(rows) == basis_mod_p_scan(rows)
+    assert EchelonModP(rows).basis() == basis_mod_p_scan(rows)
     echelon = EchelonModP()
     for row in rows:
         echelon.add(row)
-    assert (echelon.count, echelon.basis()) == (len(rows), basis_mod_p(rows))
+    assert (echelon.count, echelon.basis()) == (len(rows), EchelonModP(rows).basis())
 
 
 def test_rank_mod_p_is_a_lower_bound_and_flags_bad_denominators():
     p = MODULUS
-    assert basis_mod_p(dict_rows([[p, 0], [0, 1]])) == ((1,), (1,))  # p vanishes modulo p
+    assert EchelonModP(dict_rows([[p, 0], [0, 1]])).basis() == ((1,), (1,))  # p vanishes modulo p
     assert RatMatrix.from_rows([[p, 0], [0, 1]]).rank() == 2
     # rows are scaled by the lcm of their denominators first: [1, p] here
-    assert basis_mod_p(dict_rows([[Fraction(1, p), 1]])) == ((0,), (0,))
-    assert basis_mod_p(dict_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]])) == ((0,), (0,))
+    assert EchelonModP(dict_rows([[Fraction(1, p), 1]])).basis() == ((0,), (0,))
+    assert EchelonModP(dict_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]])).basis() == ((0,), (0,))
     assert RatMatrix.from_rows([[Fraction(1, p), 1], [Fraction(1, p), 0]]).rank() == 2
-    assert basis_mod_p(dict_rows([[Fraction(p + 1, 2 * p + 3)]])) == ((0,), (0,))
-    assert basis_mod_p([]) == ((), ())
+    assert EchelonModP(dict_rows([[Fraction(p + 1, 2 * p + 3)]])).basis() == ((0,), (0,))
+    assert EchelonModP([]).basis() == ((), ())
