@@ -109,8 +109,8 @@ def _verdict_to_dict(report: AnalysisReport, v: GenericRankVerdict, include_h: b
 
 def _verdict_from_dict(d: dict, mats: NetworkMatrices, F_test: bool) -> GenericRankVerdict:
     """A sampled verdict: its witness, or its certificate's sample, holds r - s
-    values of u and, in the F-test only, n values of h, each an integer >= 1;
-    it counts that sample."""
+    values of u, each a nonzero integer, and, in the F-test only, n values
+    of h, each an integer >= 1; it counts that sample."""
     # the status, the target (s or n) and w = G u are derived: the write-back checks them
     h_dim = mats.n if F_test else None
     v = GenericRankVerdict(
@@ -129,6 +129,8 @@ def _verdict_from_dict(d: dict, mats: NetworkMatrices, F_test: bool) -> GenericR
         raise ValueError("a verdict holds either a witness or a certificate with a square minor")
     if len(u) != mats.g.cols or (None if h is None else len(h)) != h_dim:
         raise ValueError(f"a sample holds {mats.g.cols} u values and {h_dim or 'no'} h values")
+    if not all(x.__class__ is int and x != 0 for x in u):
+        raise ValueError("a sample's u values are nonzero integers, as the sampler draws them")
     if h is not None and not all(x.__class__ is int and x >= 1 for x in h):
         raise ValueError("a sample's h values are integers >= 1, as the sampler draws them")
     if v.samples_tried < 1:
@@ -167,10 +169,10 @@ def report_from_dict(d: dict) -> AnalysisReport:
     rational such as "6/2", an extra or missing key, another schema
     version, a non-int scalar and a report without reactions.  A proof
     must have its shape: a cone witness w with N w = 0 and w >= 1; a
-    witness, or a bordering certificate's sample, of r - s u values and,
-    in the F-test only, n h values, each an integer >= 1; certificate rows
-    and columns as int lists of one length; and a sample count of at
-    least 1.  The rank at a witness and the
+    witness, or a bordering certificate's sample, of r - s u values, each
+    a nonzero integer, and, in the F-test only, n h values, each an
+    integer >= 1; certificate rows and columns as int lists of one length;
+    and a sample count of at least 1.  The rank at a witness and the
     certificate's minors are not checked.
     """
     try:

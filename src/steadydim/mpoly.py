@@ -9,18 +9,18 @@ it was computed as.
 
 A matrix of polynomials is kept as sparse rows, one dict {column:
 nonzero MPoly} per row, the format of the samples and of ``RatMatrix``.
-On it this module provides the exact symbolic determinant of the minor
-that a list of rows and a list of column indices select (Laplace
-expansion along the sparsest remaining row, every sub-minor computed once
-per call), and a short-circuiting test that every k x k minor vanishes,
-over the minors that border a known nonsingular (k-1)-submatrix
-(Kronecker's rank theorem).  A bordering minor is decided block by
-block: the nonsingular submatrix splits into square blocks, the
-connected components of its graph of nonzero entries, and the minor is 0
-exactly when the determinant of its added row and column joined with the
-blocks that both meet is.  When they meet none and cross at a zero
-entry, that is known with no arithmetic.  Only the first nonzero minor,
-the witness, is expanded in full.
+On it this module provides the exact determinant of the minor that a
+list of rows and a list of column indices select, over MPolys or numbers
+(Laplace expansion along the sparsest remaining row, every sub-minor
+computed once per call), and a short-circuiting test that every k x k
+minor vanishes, over the minors that border a known nonsingular
+(k-1)-submatrix (Kronecker's rank theorem).  A bordering minor is
+decided block by block: the nonsingular submatrix splits into square
+blocks, the connected components of its graph of nonzero entries, and
+the minor is 0 exactly when the determinant of its added row and column
+joined with the blocks that both meet is.  When they meet none and cross
+at a zero entry, that is known with no arithmetic.  The test names the
+first nonzero minor and expands none beyond its joined block.
 
 Multiplying by an int or a Fraction scales the coefficients, and adding
 the int 0 returns the polynomial itself, without the general product or
@@ -30,7 +30,7 @@ sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -130,50 +130,56 @@ class MPoly:
         return total
 
 
-_ZERO = MPoly()  # the value of an entry that a sparse row leaves out
+Entry = Union[MPoly, Scalar]
+_ZERO = MPoly()
 
 
-def det(rows: Sequence[Mapping[int, MPoly]], cols: Sequence[int]) -> MPoly:
+def det(rows: Sequence[Mapping[int, Entry]], cols: Sequence[int]) -> Entry:
     """Exact determinant of the square submatrix ``rows`` x ``cols``.
 
-    ``rows`` are the minor's rows, each a dict {column: nonzero MPoly}
-    that may hold entries outside ``cols``; ``cols`` are its column
-    indices, in order.  Laplace expansion along the sparsest remaining
-    row (the first of equals), over the entries present in it, with every
-    sub-minor cached by its (rows, columns) for the duration of the call.
-    Structural zeros prune the expansion, and the cache bounds a dense
-    k x k determinant to k * 2^(k-1) entry x minor products.  The 0x0
-    determinant is 1.
+    ``rows`` are the minor's rows, each a dict {column: entry}, a column
+    left out being 0, that may hold entries outside ``cols``; ``cols``
+    are its column indices, in order.  The entries may be ints,
+    Fractions or MPolys, and the determinant is of their kind: a number
+    for numbers, an MPoly for MPolys or when no row holds an entry.
+    Laplace expansion along the sparsest remaining row (the first of
+    equals), over the entries present in it, with every sub-minor cached
+    by its (rows, columns) for the duration of the call.  Structural
+    zeros prune the expansion, and the cache bounds a dense k x k
+    determinant to k * 2^(k-1) entry x minor products.  The 0x0
+    determinant is the polynomial 1.
     """
     k = len(rows)
     if len(cols) != k:
         raise ValueError(f"determinant of a {k}x{len(cols)} matrix")
     if k == 0:
         return MPoly.const(1)
-    if k == 1:
-        return rows[0].get(cols[0], _ZERO)
+    # the value of an entry that a row leaves out: 0 among numbers, else the polynomial 0
+    first = next((x for row in rows for x in row.values()), _ZERO)
+    zero = _ZERO if isinstance(first, MPoly) else 0
     colset = set(cols)
     nnz = [len(row.keys() & colset) for row in rows]
-    return _minor(rows, tuple(range(k)), tuple(cols), nnz, {})
+    return _minor(rows, tuple(range(k)), tuple(cols), nnz, {}, zero)
 
 
 def _minor(
-    rows: Sequence[Mapping[int, MPoly]],
+    rows: Sequence[Mapping[int, Entry]],
     ridx: tuple[int, ...],
     cols: tuple[int, ...],
     nnz: list[int],
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], MPoly],
-) -> MPoly:
+    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Entry],
+    zero: Entry,
+) -> Entry:
     """Determinant of the rows ``rows[i]`` for i in ``ridx`` at the columns
     ``cols`` (equal, nonzero length); ``nnz[t]`` is the number of entries
     of ``rows[ridx[t]]`` in ``cols``.  Sub-minors go through ``cache``."""
     if len(ridx) == 1:
-        return rows[ridx[0]].get(cols[0], _ZERO)
+        return rows[ridx[0]].get(cols[0], zero)
     p = nnz.index(min(nnz))
     row = rows[ridx[p]]
     rest = ridx[:p] + ridx[p + 1 :]
     rest_nnz = nnz[:p] + nnz[p + 1 :]
-    acc = MPoly()
+    acc = zero
     for q, j in enumerate(cols):
         if j not in row:
             continue
@@ -183,22 +189,16 @@ def _minor(
         if sub is None:
             # dropping column j lowers the count of each row that holds it
             sub_nnz = [c - (j in rows[i]) for c, i in zip(rest_nnz, rest)]
-            sub = cache[key] = _minor(rows, rest, sub_cols, sub_nnz, cache)
+            sub = cache[key] = _minor(rows, rest, sub_cols, sub_nnz, cache, zero)
         if sub:
             term = row[j] * sub
             acc = acc - term if (p + q) % 2 else acc + term
     return acc
 
 
-class MinorWitness(NamedTuple):
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    poly: MPoly
-
-
 def all_minors_zero(
     rows: Sequence[Mapping[int, MPoly]], ncols: int, basis: tuple[Sequence[int], Sequence[int]]
-) -> tuple[bool, Optional[MinorWitness]]:
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Check whether every k x k minor is the zero polynomial, k the size of ``basis`` plus 1.
 
     The matrix is ``rows``, one dict {column: nonzero MPoly} per row, over
@@ -206,10 +206,9 @@ def all_minors_zero(
     (k-1) x (k-1) submatrix whose determinant is a nonzero polynomial (the
     caller's guarantee).  Only the minors bordering it are decided: by
     Kronecker's theorem they all vanish exactly when every k x k minor
-    does.  Returns ``(True, None)`` when they all vanish identically,
-    which proves the symbolic rank is k - 1.  Otherwise returns
-    ``(False, witness)`` for the first nonzero one, with its rows and
-    columns ascending and its determinant.
+    does.  Returns None when they all vanish identically, which proves the
+    symbolic rank is k - 1.  Otherwise returns the first nonzero one as
+    ``(rows, cols)``, each ascending, in the format of ``basis``.
 
     A bordering minor adds one row i outside ``rows`` and one column j
     outside ``cols``; they are taken added row ascending, then added
@@ -224,7 +223,7 @@ def all_minors_zero(
     meet) times those of the other components, and it is 0 exactly when
     the joined block's determinant is.  If j is not an entry of row i and
     the two meet no common component, that block is the 1 x 1 zero and no
-    arithmetic is done.  The full minor is computed only for the witness.
+    arithmetic is done.  No minor is expanded beyond its joined block.
     A basis that is not square, repeats an index or has one out of range
     raises ValueError, and so does one whose graph has a component that
     is not square, or a column with no entry, which is singular.
@@ -277,11 +276,6 @@ def all_minors_zero(
                 continue
             block_rows = sorted([i, *(r for b in joined for r in comp_rows[b])])
             block_cols = sorted([j, *(c for b in joined for c in comp_cols[b])])
-            d = det([rows[r] for r in block_rows], block_cols)
-            if d:
-                rset = tuple(sorted((*basis_rows, i)))
-                cset = tuple(sorted((*basis_cols, j)))
-                if len(block_rows) < len(rset):
-                    d = det([rows[r] for r in rset], cset)
-                return False, MinorWitness(rset, cset, d)
-    return True, None
+            if det([rows[r] for r in block_rows], block_cols):
+                return tuple(sorted((*basis_rows, i))), tuple(sorted((*basis_cols, j)))
+    return None

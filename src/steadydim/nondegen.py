@@ -29,9 +29,10 @@ sparse rows with MPoly entries, over the variables u_t (index t) and h_j
 rho x rho submatrix; its bordering (rho+1)-minors, each decided from the
 blocks of that submatrix, either all vanish, which proves the rank is
 rho everywhere (Kronecker's theorem; that submatrix and the sample are
-the certificate), or one of them is a nonzero polynomial.  That minor is
-sampled until it is nonzero, at a point of rank at least rho + 1: the
-witness once rho + 1 reaches the target, else the next submatrix.
+the certificate), or the test names one that is a nonzero polynomial.
+Points are drawn until the determinant of that minor's entries' values
+there is nonzero, a point of rank at least rho + 1: the witness once
+rho + 1 reaches the target, else the next submatrix.
 When the first matrix is rank deficient everywhere, so is the second,
 and its test is skipped.
 
@@ -53,8 +54,8 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .cone import ConeResult, positive_kernel_vector
-# imported by name: bench/tracer.py patches nondegen.all_minors_zero
-from .mpoly import MPoly, all_minors_zero
+# by name: bench/tracer.py patches nondegen.all_minors_zero (its mpoly.det span misses this det)
+from .mpoly import MPoly, all_minors_zero, det
 from .netmodel import NetworkMatrices, ReactionNetwork
 from .ratmat import MODULUS, EchelonModP, RatMatrix, Rational
 
@@ -368,12 +369,13 @@ def generic_rank_test(
 
       * all zero: the rank is rho over Q(u, h); AllDegenerate, with a
         ``BorderingCertificate`` of (R, C) and its sample;
-      * one nonzero: it is sampled from ``rng`` until it evaluates nonzero
-        (doubling the sample bound whenever a round of ``_PIT_BUDGET``
-        samples is exhausted), a point of rank at least rho + 1.  If
-        rho + 1 reaches the target that point is the witness; otherwise
-        the minor and that point are the next basis and sample, so the
-        loop runs at most target - rho rounds.
+      * one nonzero, named by its rows and columns: points are drawn from
+        ``rng`` until ``mpoly.det`` of its entries' values there is
+        nonzero (doubling the sample bound whenever a round of
+        ``_PIT_BUDGET`` samples is exhausted), a point of rank at least
+        rho + 1.  If rho + 1 reaches the target that point is the witness;
+        otherwise the minor and that point are the next basis and sample,
+        so the loop runs at most target - rho rounds.
 
     ``samples_tried`` is 1 plus the hunted samples, which alone count
     toward ``hard_cap``.  A witness is an integer point at which the exact
@@ -389,8 +391,8 @@ def generic_rank_test(
     basis = echelon.basis()
     symbolic = _symbolic(matrix, u_dim, h_dim) if len(basis[0]) < target else None
     while len(basis[0]) < target:
-        vanish, witness = all_minors_zero(symbolic, cols, basis)
-        if vanish:
+        minor = all_minors_zero(symbolic, cols, basis)
+        if minor is None:
             return GenericRankVerdict(
                 target_rank=target,
                 certificate=BorderingCertificate(*basis, u, h),
@@ -398,19 +400,19 @@ def generic_rank_test(
             )
         # sample until the minor is nonzero, a point of rank at least its
         # size; the bound doubles after each round of _PIT_BUDGET samples
+        minor_rows, minor_cols = minor
+        entries = [{j: x for j, x in symbolic[i].items() if j in minor_cols} for i in minor_rows]
         for tries in itertools.count(1):
             if hard_cap is not None and hunted >= hard_cap:
-                raise BudgetExhausted(
-                    f"no nonzero evaluation of minor {witness.rows}x{witness.cols} "
-                    f"within {hard_cap} samples"
-                )
+                raise BudgetExhausted(f"no nonzero evaluation of minor {minor} within {hard_cap} samples")
             u, h = _sample_point(rng, bound, u_dim, h_dim)
             hunted += 1
-            if witness.poly.eval(u + (h or ())):
+            point = u + (h or ())
+            if det([{j: x.eval(point) for j, x in row.items()} for row in entries], minor_cols):
                 break
             if tries % _PIT_BUDGET == 0:
                 bound *= 2
-        basis = (witness.rows, witness.cols)
+        basis = minor
     return GenericRankVerdict(
         target_rank=target,
         witness_u=u,

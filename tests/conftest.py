@@ -7,12 +7,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from steadydim.mpoly import MinorWitness, MPoly, det
+from steadydim.mpoly import MPoly, det
 from steadydim.netmodel import NetworkMatrices
 from steadydim.nondegen import _SAMPLE_BOUND, _sample_point, generic_rank_test
 from steadydim.ratmat import MODULUS, EchelonModP, RatMatrix
@@ -146,6 +147,14 @@ def bordering_minors(nrows: int, ncols: int, basis):
             yield rset, tuple(sorted((*cols, j)))
 
 
+class ScannedMinor(NamedTuple):
+    """A nonzero minor found by ``all_minors_scan``: its rows, columns and determinant."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    poly: MPoly
+
+
 def all_minors_scan(rows, ncols: int, k: int):
     """Whether every k x k minor of ``rows`` is the zero polynomial, by
     scanning them all (test oracle for ``mpoly.all_minors_zero``).
@@ -157,7 +166,7 @@ def all_minors_scan(rows, ncols: int, k: int):
     The one 0 x 0 minor is 1.
     """
     if k == 0:
-        return False, MinorWitness((), (), MPoly.const(1))
+        return False, ScannedMinor((), (), MPoly.const(1))
     row_order = sorted(range(len(rows)), key=lambda i: (len(rows[i]), i))
     col_order = sorted(range(ncols), key=lambda j: (sum(j in row for row in rows), j))
     for rsel in combinations(row_order, k):
@@ -166,7 +175,7 @@ def all_minors_scan(rows, ncols: int, k: int):
             cset = tuple(sorted(csel))
             d = det([rows[i] for i in rset], cset)
             if d:
-                return False, MinorWitness(rset, cset, d)
+                return False, ScannedMinor(rset, cset, d)
     return True, None
 
 

@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,14 @@ def _empty_cone(d):
     d.update(cone=empty["cone"], conclusions=empty["conclusions"], notes=empty["notes"])
 
 
+def _set_witness_u(d, test, value):
+    # u_1 set to ``value`` and witness_w = G u made to match it, so only u's shape is wrong
+    mats = NetworkMatrices.from_network(parse_network("\n".join(d["network"]["reactions"])))
+    d[test]["witness_u"][0] = value
+    w = mats.g.mul_vec(tuple(Fraction(x) for x in d[test]["witness_u"]))
+    d[test]["witness_w"] = [str(x) for x in w]
+
+
 def _shift_s(d, by):
     # s, d and the f-test's target moved together, consistent with each other but not with the reactions
     d["network"].update(s=d["network"]["s"] + by, d=d["network"]["d"] - by)
@@ -303,6 +312,10 @@ def _shift_s(d, by):
         ("calcium", lambda d: d["F_test"]["witness_h"].__setitem__(0, "0")),
         ("calcium", lambda d: d["F_test"]["witness_h"].__setitem__(0, "-5")),
         ("example45", lambda d: d["F_test"]["certificate"]["sample_h"].__setitem__(0, 0)),
+        # u is drawn from [-H, H] without 0: a nonzero integer
+        ("calcium", lambda d: _set_witness_u(d, "f_test", "0")),
+        ("calcium", lambda d: _set_witness_u(d, "F_test", "1/2")),
+        ("example42", lambda d: d["f_test"]["certificate"].update(sample_u=[0])),
         # the cone witness is a kernel vector of N with every entry >= 1
         ("calcium", lambda d: d["cone"].update(witness=[])),
         ("calcium", lambda d: d["cone"].update(witness=["1"] * 6)),
@@ -334,6 +347,9 @@ def _shift_s(d, by):
         "F_witness_h_zero",
         "F_witness_h_negative",
         "certificate_sample_h_zero",
+        "f_witness_u_zero",
+        "F_witness_u_half",
+        "certificate_sample_u_zero",
         "cone_witness_empty",
         "cone_witness_not_in_kernel",
         "cone_witness_below_1",

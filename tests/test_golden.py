@@ -14,7 +14,11 @@ non-integral ratios, and ``fractional_rref.crn`` (``random001``), whose
 stoichiometric matrix has an RREF entry that is not an integer, and
 ``p_multiple.crn``, whose stoichiometric coefficients are 2^61 - 1, the
 modulus of the rank test, so every sample's rank modulo p falls short
-and each witness is a hunted point.  A change that alters any
+and each witness is a hunted point, and ``p_multiple_k6.crn``, six
+disjoint copies of that block, where each test hunts six rounds, one
+per block, to ``samples_tried`` 7 (its two records were written before
+the hunt came to check a minor from its entries' values, and the change
+kept them).  A change that alters any
 of these bytes must be deliberate: regenerate the file and say why in
 CHANGES.md (a report format change also bumps ``schema_version``; a
 change of values only, such as ``samples_tried``, keeps it).  The

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from steadydim.mpoly import MinorWitness, MPoly, all_minors_zero, det
+from steadydim.mpoly import MPoly, all_minors_zero, det
 
 from conftest import all_minors_scan, bordering_minors, cofactor_det, dict_rows
 
@@ -134,6 +134,8 @@ def test_det_eval_agreement():
         sym = det(dict_rows(m), range(k))
         evaluated = [[entry.eval(point) for entry in row] for row in m]
         assert sym.eval(point) == cofactor_det(evaluated)
+        # det of the numbers is the number: the entries' kind is kept
+        assert det(dict_rows(evaluated), range(k)) == sym.eval(point)
 
 
 def test_all_minors_zero_identity():
@@ -142,9 +144,9 @@ def test_all_minors_zero_identity():
     ident = [[MPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for size in range(n):
         lead = tuple(range(size))
-        ok, witness = all_minors_zero(dict_rows(ident), n, (lead, lead))
-        assert not ok
-        assert witness == MinorWitness(tuple(range(size + 1)), tuple(range(size + 1)), MPoly.const(1))
+        minor = all_minors_zero(dict_rows(ident), n, (lead, lead))
+        assert minor == (tuple(range(size + 1)), tuple(range(size + 1)))
+        assert det([dict_rows(ident)[i] for i in minor[0]], minor[1]) == MPoly.const(1)
 
 
 def test_all_minors_zero_rank_one_scaled():
@@ -156,21 +158,21 @@ def test_all_minors_zero_rank_one_scaled():
         [a, -a, -a],
         [a, -a, -a],
     ]
-    ok1, witness = all_minors_zero(dict_rows(m), 3, ((), ()))
-    assert not ok1
-    assert witness == MinorWitness((0,), (0,), a * -2)
+    minor = all_minors_zero(dict_rows(m), 3, ((), ()))
+    assert minor == ((0,), (0,))
+    assert det([dict_rows(m)[0]], (0,)) == a * -2
     for i in range(3):
         for j in range(3):
-            assert all_minors_zero(dict_rows(m), 3, ((i,), (j,))) == (True, None)
+            assert all_minors_zero(dict_rows(m), 3, ((i,), (j,))) is None
 
 
 def test_all_minors_zero_witness_row_vector():
     m = [[u(0, 2) - u(1, 2), MPoly()]]
-    ok, witness = all_minors_zero(dict_rows(m), 2, ((), ()))
-    assert not ok
-    assert witness == MinorWitness((0,), (0,), u(0, 2) - u(1, 2))
+    minor = all_minors_zero(dict_rows(m), 2, ((), ()))
+    assert minor == ((0,), (0,))
+    assert det(dict_rows(m), (0,)) == u(0, 2) - u(1, 2)
     # a one-row matrix has no minor bordering a 1x1 one
-    assert all_minors_zero(dict_rows(m), 2, ((0,), (0,))) == (True, None)
+    assert all_minors_zero(dict_rows(m), 2, ((0,), (0,))) is None
 
 
 def test_all_minors_zero_bad_k():
@@ -289,14 +291,15 @@ def test_all_minors_zero_bordering_agrees_with_full_scan():
             if none_below:
                 continue  # no nonsingular (k-1)-submatrix to border
             full, _ = all_minors_scan(rows, ncols, k)
-            ok, witness = all_minors_zero(rows, ncols, (base.rows, base.cols))
-            assert ok == full
-            decided[ok] += 1
-            if not ok:
-                assert set(base.rows) < set(witness.rows)
-                assert set(base.cols) < set(witness.cols)
-                sub = [[m[i][j] for j in witness.cols] for i in witness.rows]
-                assert witness.poly == det(dict_rows(sub), range(k)) and not witness.poly.is_zero()
+            minor = all_minors_zero(rows, ncols, (base.rows, base.cols))
+            assert (minor is None) == full
+            decided[minor is None] += 1
+            if minor is not None:
+                minor_rows, minor_cols = minor
+                assert set(base.rows) < set(minor_rows)
+                assert set(base.cols) < set(minor_cols)
+                sub = [[m[i][j] for j in minor_cols] for i in minor_rows]
+                assert not det(dict_rows(sub), range(k)).is_zero()
     assert decided[True] > 0 and decided[False] > 0
 
 
@@ -332,7 +335,7 @@ def _block_matrix(rng: random.Random) -> list[list[MPoly]]:
 @given(st.integers(0, 2**32))
 def test_all_minors_zero_bordering_decides_block_by_block(seed):
     # each bordering minor, decided from the blocks of the basis, against its
-    # full determinant; the witness is the first nonzero one in bordering order
+    # full determinant; the minor named is the first nonzero one in bordering order
     m = _block_matrix(random.Random(seed))
     rows, ncols = dict_rows(m), len(m[0])
     for k in range(1, min(len(rows), ncols) + 1):
@@ -340,16 +343,13 @@ def test_all_minors_zero_bordering_decides_block_by_block(seed):
         if none_below:
             break  # no nonsingular (k-1)-submatrix to border
         basis = (base.rows, base.cols)
-        ok, witness = all_minors_zero(rows, ncols, basis)
+        minor = all_minors_zero(rows, ncols, basis)
         nonzero = [
             (rset, cset)
             for rset, cset in bordering_minors(len(rows), ncols, basis)
             if det([rows[i] for i in rset], cset)
         ]
-        assert ok == (not nonzero)
-        if not ok:
-            assert (witness.rows, witness.cols) == nonzero[0]
-            assert witness.poly == det([rows[i] for i in witness.rows], witness.cols)
+        assert minor == (nonzero[0] if nonzero else None)
 
 
 def test_all_minors_zero_bordering_computes_only_joined_blocks(monkeypatch):
@@ -369,13 +369,13 @@ def test_all_minors_zero_bordering_computes_only_joined_blocks(monkeypatch):
     monkeypatch.setattr(
         "steadydim.mpoly.det", lambda rows, cols: sizes.append(len(cols)) or real_det(rows, cols)
     )
-    ok, witness = all_minors_zero(dict_rows(m), 4, ((0, 2), (0, 2)))
-    assert not ok and (witness.rows, witness.cols) == ((0, 1, 2), (0, 1, 2))
-    assert witness.poly == u(0) * (u(0) * u(0) - u(1) * u(1))
-    # the joined block rows (0, 1) x cols (0, 1) and the full witness minor
-    assert sizes == [2, 3]
+    minor = all_minors_zero(dict_rows(m), 4, ((0, 2), (0, 2)))
+    assert minor == ((0, 1, 2), (0, 1, 2))
+    # only the joined block rows (0, 1) x cols (0, 1): the minor is not expanded
+    assert sizes == [2]
+    assert real_det([dict_rows(m)[i] for i in minor[0]], minor[1]) == u(0) * (u(0) * u(0) - u(1) * u(1))
     sizes.clear()
-    assert all_minors_zero(dict_rows([row[2:] for row in m[2:]]), 2, ((0,), (0,))) == (True, None)
+    assert all_minors_zero(dict_rows([row[2:] for row in m[2:]]), 2, ((0,), (0,))) is None
     assert sizes == [2]
 
 

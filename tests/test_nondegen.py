@@ -806,3 +806,43 @@ def test_verdicts_are_invariant_under_species_and_reaction_permutation(net_seed,
         report = analyze(n, SamplerConfig(seed=0))
         facts.append((report.dims, report.cone.exists, report.f_verdict.status, report.F_verdict.status))
     assert facts[0] == facts[1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32), st.data())
+def test_verdicts_are_invariant_under_a_parallel_copy_of_a_reaction(net_seed, data):
+    # a second reaction with the same complexes repeats a column of the
+    # stoichiometric matrix and of B: n, s, d, the cone and both statuses
+    # stay, and r grows by 1
+    net = random_network(random.Random(net_seed))
+    rx = net.reactions[data.draw(st.integers(0, net.r - 1))]
+    copied = ReactionNetwork(net.species, net.reactions + (Reaction(rx.reactant, rx.product, "copy"),))
+    reports = [analyze(n, SamplerConfig(seed=0)) for n in (net, copied)]
+    facts = []
+    for report in reports:
+        n, _, s, d = report.dims
+        facts.append((n, s, d, report.cone.exists, report.f_verdict.status, report.F_verdict.status))
+    assert facts[0] == facts[1]
+    assert reports[1].mats.r == reports[0].mats.r + 1
+
+
+def test_analyze_hunts_each_round_with_no_polynomial_beyond_an_entry(monkeypatch):
+    # 20 disjoint copies of p_multiple.crn's block: every sample's rank
+    # modulo p falls short, so each test hunts one round per block.  A hunted
+    # point is checked by the minor's entries there, not by its polynomial,
+    # which is the product of every block's and has 2^20 terms
+    block = (DATA / "p_multiple.crn").read_text().splitlines()
+    text = "\n".join(line.replace("A", f"A{b}").replace("B", f"B{b}") for b in range(1, 21) for line in block)
+    largest = 0
+    real_init = MPoly.__init__
+
+    def recording_init(self, terms=None):
+        nonlocal largest
+        real_init(self, terms)
+        largest = max(largest, len(self._terms))
+
+    monkeypatch.setattr(MPoly, "__init__", recording_init)
+    report = analyze(parse_network(text), SamplerConfig(seed=0))
+    for verdict in (report.f_verdict, report.F_verdict):
+        assert verdict.nondegenerate and verdict.samples_tried == 21
+    assert largest == 2
